@@ -40,19 +40,22 @@ bench:
 bench-json:
 	$(GO) run ./cmd/tccbench -bench monitor -out BENCH_monitor.json
 
-# Regenerate the event-core numbers: paired ladder-vs-heap runs over a
-# synthetic self-clocking workload plus Fig. 6/Fig. 7-shaped full-stack
-# workloads. Fails if the two queues diverge on event count or final
-# virtual time.
+# Regenerate the event-core numbers: one run each of a synthetic
+# self-clocking workload and Fig. 6/Fig. 7-shaped full-stack workloads,
+# recording events, final virtual time, events/sec, allocs/event and
+# simulated-ns per wall second.
 bench-engine:
 	$(GO) run ./cmd/tccbench -bench engine -out BENCH_engine.json
 
-# CI regression gate: rerun the engine benchmark and fail when full-stack
-# ladder throughput (pingpong, posted-store) drops more than 15% below
-# the committed BENCH_engine.json. The baseline is read before the fresh
-# numbers overwrite the file, so the artifact CI uploads is current.
-# The threshold is deliberately loose — runner hardware differs from the
-# baseline machine — so the gate catches structural rot, not noise.
+# CI regression gate: rerun the engine benchmark and fail when any
+# workload's event count or final virtual time differs from the
+# committed BENCH_engine.json (a behaviour change must regenerate the
+# file in the same change), or when full-stack throughput (pingpong,
+# posted-store) drops more than 15% below it. The baseline is read
+# before the fresh numbers overwrite the file, so the artifact CI
+# uploads is current. The throughput threshold is deliberately loose —
+# runner hardware differs from the baseline machine — so it catches
+# structural rot, not noise.
 bench-engine-check:
 	$(GO) run ./cmd/tccbench -bench engine -out BENCH_engine.json -baseline BENCH_engine.json
 

@@ -1,10 +1,10 @@
-// Engine benchmark: paired new-vs-legacy event-queue measurements over
-// a synthetic self-clocking workload and two full-stack workloads
-// shaped like the paper's Fig. 6 (posted-store bandwidth) and Fig. 7
-// (message ping-pong). Emits BENCH_engine.json with events/sec,
-// ns/event, allocs/event and the ladder:heap speedup ratio, and
-// cross-checks that both queues reach the same virtual time with the
-// same event count — the determinism contract.
+// Engine benchmark: event-queue throughput over a synthetic
+// self-clocking workload and two full-stack workloads shaped like the
+// paper's Fig. 6 (posted-store bandwidth) and Fig. 7 (message
+// ping-pong). Emits BENCH_engine.json with events/sec, ns/event,
+// allocs/event and simulated-ns per wall second. Event counts and final
+// virtual times are deterministic, so with -baseline they double as a
+// behaviour fingerprint the committed file must match exactly.
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 )
 
 type engineRun struct {
-	Queue          string  `json:"queue"` // "ladder" or "heap"
 	Events         uint64  `json:"events"`
 	WallSeconds    float64 `json:"wall_seconds"`
 	EventsPerSec   float64 `json:"events_per_sec"`
@@ -38,10 +37,8 @@ type engineRun struct {
 }
 
 type engineWorkload struct {
-	Name    string    `json:"name"`
-	Ladder  engineRun `json:"ladder"`
-	Heap    engineRun `json:"heap"`
-	Speedup float64   `json:"speedup_events_per_sec"` // ladder / heap
+	Name string `json:"name"`
+	engineRun
 }
 
 type engineReport struct {
@@ -52,7 +49,7 @@ type engineReport struct {
 // measured wraps one benchmark run: the workload body advances the
 // engine, and we record wall time, fired events, allocations and the
 // final virtual time around it.
-func measured(queue string, fired func() uint64, now func() sim.Time, body func()) engineRun {
+func measured(fired func() uint64, now func() sim.Time, body func()) engineRun {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	startFired := fired()
@@ -64,7 +61,6 @@ func measured(queue string, fired func() uint64, now func() sim.Time, body func(
 	runtime.ReadMemStats(&m1)
 	events := fired() - startFired
 	r := engineRun{
-		Queue:          queue,
 		Events:         events,
 		WallSeconds:    wall,
 		FinalVirtualNs: now().Nanos(),
@@ -91,13 +87,8 @@ func (t *benchTicker) OnEvent(e *sim.Engine, _ sim.EventArg) {
 
 // selfClockRun drives a pure-engine workload: 64 tickers with co-prime
 // periods spanning near-bucket and far-heap horizons.
-func selfClockRun(legacy bool, events uint64) engineRun {
+func selfClockRun(events uint64) engineRun {
 	eng := sim.NewEngine()
-	queue := "ladder"
-	if legacy {
-		eng = sim.NewLegacyEngine()
-		queue = "heap"
-	}
 	for i := 0; i < 64; i++ {
 		period := sim.Time(300+i*37) * sim.Picosecond
 		if i%16 == 15 {
@@ -106,7 +97,7 @@ func selfClockRun(legacy bool, events uint64) engineRun {
 		t := &benchTicker{period: period}
 		eng.ScheduleAfter(t.period, t, sim.EventArg{})
 	}
-	return measured(queue, eng.Fired, eng.Now, func() {
+	return measured(eng.Fired, eng.Now, func() {
 		for eng.Fired() < events {
 			eng.Step()
 		}
@@ -118,16 +109,10 @@ func selfClockRun(legacy bool, events uint64) engineRun {
 // selects the opt-in parked-receiver mode instead of the paper's
 // default spin polling — a different receive model that elides the
 // idle poll events entirely.
-func pingpongRun(legacy, doorbell bool, rounds int) engineRun {
-	queue := "ladder"
-	var opts []tccluster.Option
-	if legacy {
-		queue = "heap"
-		opts = append(opts, tccluster.WithLegacyEventQueue())
-	}
+func pingpongRun(doorbell bool, rounds int) engineRun {
 	topo, err := tccluster.Chain(2)
 	check(err)
-	c, err := tccluster.New(topo, tccluster.DefaultConfig(), opts...)
+	c, err := tccluster.New(topo, tccluster.DefaultConfig())
 	check(err)
 	par := tccluster.DefaultMsgParams()
 	par.Doorbell = doorbell
@@ -162,7 +147,7 @@ func pingpongRun(legacy, doorbell bool, rounds int) engineRun {
 		sAB.Send(make([]byte, 64), func(error) {})
 	}
 	eng := c.Engine()
-	r := measured(queue, eng.Fired, eng.Now, func() {
+	r := measured(eng.Fired, eng.Now, func() {
 		round(0)
 		c.RunFor(10 * tccluster.Millisecond)
 		rAB.Stop()
@@ -177,16 +162,10 @@ func pingpongRun(legacy, doorbell bool, rounds int) engineRun {
 
 // postStoreRun is the Fig. 6 shape: a stream of small posted stores
 // into the neighbor's DRAM, fenced at the end.
-func postStoreRun(legacy bool, iters int) engineRun {
-	queue := "ladder"
-	var opts []tccluster.Option
-	if legacy {
-		queue = "heap"
-		opts = append(opts, tccluster.WithLegacyEventQueue())
-	}
+func postStoreRun(iters int) engineRun {
 	topo, err := tccluster.Chain(2)
 	check(err)
-	c, err := tccluster.New(topo, tccluster.DefaultConfig(), opts...)
+	c, err := tccluster.New(topo, tccluster.DefaultConfig())
 	check(err)
 	src := c.Node(0).Core()
 	base := c.Node(1).MemBase() + 8<<20
@@ -204,7 +183,7 @@ func postStoreRun(legacy bool, iters int) engineRun {
 		})
 	}
 	eng := c.Engine()
-	r := measured(queue, eng.Fired, eng.Now, func() {
+	r := measured(eng.Fired, eng.Now, func() {
 		step(0)
 		c.Run()
 	})
@@ -218,8 +197,8 @@ func postStoreRun(legacy bool, iters int) engineRun {
 // workloads finish in milliseconds of wall time, so a single GC pause or
 // scheduler hiccup can halve one run's events/sec; the minimum-over-
 // repeats wall time is the stable statistic. Virtual time and event
-// counts are deterministic across repeats, so the paired determinism
-// check is unaffected by which repeat wins.
+// counts are deterministic across repeats, so the fingerprint check is
+// unaffected by which repeat wins.
 func bestOf(n int, run func() engineRun) engineRun {
 	best := run()
 	for i := 1; i < n; i++ {
@@ -230,46 +209,41 @@ func bestOf(n int, run func() engineRun) engineRun {
 	return best
 }
 
-// checkPaired enforces the determinism contract on a full-stack pair:
-// both queues must fire the same number of events and land on the same
-// virtual time.
-func checkPaired(w engineWorkload) {
-	if w.Ladder.Events != w.Heap.Events || w.Ladder.FinalVirtualNs != w.Heap.FinalVirtualNs {
-		check(fmt.Errorf("engine bench: %s diverged: ladder %d events / %.0f ns vs heap %d events / %.0f ns",
-			w.Name, w.Ladder.Events, w.Ladder.FinalVirtualNs, w.Heap.Events, w.Heap.FinalVirtualNs))
-	}
-}
-
-// baselineTolerance is how far full-stack ladder throughput may fall
-// below the committed baseline before the CI regression gate fails the
-// run. Generous because CI runners and the baseline machine differ;
+// baselineTolerance is how far full-stack throughput may fall below
+// the committed baseline before the CI regression gate fails the run.
+// Generous because CI runners and the baseline machine differ;
 // the gate catches order-of-magnitude rot, not percent-level noise.
 const baselineTolerance = 0.15
 
-// checkBaseline compares this run's full-stack ladder throughput
-// against a committed baseline report and returns an error when any
-// workload drops more than baselineTolerance below it. The synthetic
-// selfclock workload is exempt: it measures the bare queue, which the
-// paired speedup ratio already tracks.
+// checkBaseline compares this run against a committed baseline report.
+// Every workload's event count and final virtual time must equal the
+// baseline's exactly: both are deterministic, so a mismatch means the
+// simulated behaviour changed and the committed file must be
+// regenerated in the same change. It also returns an error when any
+// full-stack workload's throughput drops more than baselineTolerance
+// below the baseline. The synthetic selfclock workload is exempt from
+// the throughput floor: it measures the bare queue, not the stack.
 func checkBaseline(rep engineReport, base engineReport) error {
 	baseBy := make(map[string]engineWorkload, len(base.Workloads))
 	for _, w := range base.Workloads {
 		baseBy[w.Name] = w
 	}
 	for _, w := range rep.Workloads {
-		if w.Name == "selfclock" {
-			continue
-		}
 		b, ok := baseBy[w.Name]
-		if !ok || b.Ladder.EventsPerSec <= 0 {
+		if !ok {
+			return fmt.Errorf("engine bench: %s missing from the baseline", w.Name)
+		}
+		if w.Events != b.Events || w.FinalVirtualNs != b.FinalVirtualNs {
+			return fmt.Errorf("engine bench: %s fingerprint changed: %d events / %.3f ns, baseline %d events / %.3f ns",
+				w.Name, w.Events, w.FinalVirtualNs, b.Events, b.FinalVirtualNs)
+		}
+		if w.Name == "selfclock" || b.EventsPerSec <= 0 {
 			continue
 		}
-		floor := b.Ladder.EventsPerSec * (1 - baselineTolerance)
-		if w.Ladder.EventsPerSec < floor {
+		floor := b.EventsPerSec * (1 - baselineTolerance)
+		if w.EventsPerSec < floor {
 			return fmt.Errorf("engine bench: %s regressed: %.0f events/s is %.0f%% below the committed baseline %.0f (floor %.0f)",
-				w.Name, w.Ladder.EventsPerSec,
-				(1-w.Ladder.EventsPerSec/b.Ladder.EventsPerSec)*100,
-				b.Ladder.EventsPerSec, floor)
+				w.Name, w.EventsPerSec, (1-w.EventsPerSec/b.EventsPerSec)*100, b.EventsPerSec, floor)
 		}
 	}
 	return nil
@@ -299,44 +273,17 @@ func runEngineBench(out, cpuprofile, memprofile, baseline string) {
 	// by them) out of GC/scheduler noise. Selfclock runs long enough
 	// that a single measurement is already stable.
 	const repeats = 5
-	pair := func(name string, run func(legacy bool) engineRun) engineWorkload {
-		w := engineWorkload{
-			Name:   name,
-			Heap:   bestOf(repeats, func() engineRun { return run(true) }),
-			Ladder: bestOf(repeats, func() engineRun { return run(false) }),
-		}
-		if w.Heap.EventsPerSec > 0 {
-			w.Speedup = w.Ladder.EventsPerSec / w.Heap.EventsPerSec
-		}
-		return w
-	}
-
 	rep := engineReport{Meta: stats.NewBenchMeta()}
-
-	w := engineWorkload{
-		Name:   "selfclock",
-		Heap:   selfClockRun(true, 2_000_000),
-		Ladder: selfClockRun(false, 2_000_000),
+	add := func(name string, r engineRun) {
+		rep.Workloads = append(rep.Workloads, engineWorkload{Name: name, engineRun: r})
 	}
-	if w.Heap.EventsPerSec > 0 {
-		w.Speedup = w.Ladder.EventsPerSec / w.Heap.EventsPerSec
-	}
-	rep.Workloads = append(rep.Workloads, w)
-
-	w = pair("pingpong-64B", func(legacy bool) engineRun { return pingpongRun(legacy, false, 500) })
-	checkPaired(w)
-	rep.Workloads = append(rep.Workloads, w)
-
+	add("selfclock", selfClockRun(2_000_000))
+	add("pingpong-64B", bestOf(repeats, func() engineRun { return pingpongRun(false, 500) }))
 	// Same workload under the opt-in doorbell receive model: idle poll
 	// events are elided, so raw events/sec is incomparable with the
 	// spin-mode row — sim_ns_per_wall_sec is the metric to read here.
-	w = pair("pingpong-64B-doorbell", func(legacy bool) engineRun { return pingpongRun(legacy, true, 500) })
-	checkPaired(w)
-	rep.Workloads = append(rep.Workloads, w)
-
-	w = pair("posted-store-64B", func(legacy bool) engineRun { return postStoreRun(legacy, 4096) })
-	checkPaired(w)
-	rep.Workloads = append(rep.Workloads, w)
+	add("pingpong-64B-doorbell", bestOf(repeats, func() engineRun { return pingpongRun(true, 500) }))
+	add("posted-store-64B", bestOf(repeats, func() engineRun { return postStoreRun(4096) }))
 
 	if memprofile != "" {
 		f, err := os.Create(memprofile)
@@ -352,15 +299,14 @@ func runEngineBench(out, cpuprofile, memprofile, baseline string) {
 
 	fmt.Printf("tccbench engine (%s, GOMAXPROCS=%d)\n", rep.Meta.GoVersion, rep.Meta.GOMAXPROCS)
 	for _, w := range rep.Workloads {
-		fmt.Printf("  %-18s ladder %8.0f ev/s %7.1f ns/ev %6.2f allocs/ev %8.0f sim-ns/s | heap %8.0f ev/s | speedup %.2fx\n",
-			w.Name, w.Ladder.EventsPerSec, w.Ladder.NsPerEvent, w.Ladder.AllocsPerEvent,
-			w.Ladder.SimNsPerWallSec, w.Heap.EventsPerSec, w.Speedup)
+		fmt.Printf("  %-21s %8d events %8.0f ev/s %7.1f ns/ev %6.2f allocs/ev %11.0f sim-ns/s\n",
+			w.Name, w.Events, w.EventsPerSec, w.NsPerEvent, w.AllocsPerEvent, w.SimNsPerWallSec)
 	}
 	fmt.Printf("wrote %s\n", out)
 
 	if baseline != "" {
 		check(checkBaseline(rep, base))
-		fmt.Printf("baseline check passed: full-stack throughput within %.0f%% of %s\n",
+		fmt.Printf("baseline check passed: fingerprints equal and full-stack throughput within %.0f%% of %s\n",
 			baselineTolerance*100, baseline)
 	}
 }

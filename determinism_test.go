@@ -1,12 +1,12 @@
 // Cross-executor determinism suite: every example topology runs on the
-// ladder queue, on the legacy container/heap queue, and on the parallel
-// partitioned executor — and all must fire the same number of events,
-// land on the same virtual time, and leave identical per-link counters.
-// This is the contract that makes both the ladder queue and the
-// conservative parallel engine drop-in replacements: the serial queues
-// preserve (time, seq) ordering exactly, and the parallel executor's
-// windowed barrier plus (time, stamp, priority) arbitration keys
-// reproduce the serial schedule to the picosecond.
+// serial ladder queue and must reproduce the fingerprint committed in
+// exampleGolden — event count, final virtual time and a digest of the
+// per-link counters — and on the parallel partitioned executor, where
+// it must reproduce the serial fingerprint exactly. The golden table is
+// what makes a change in simulated behaviour explicit: the serial queue
+// preserves (time, stamp, priority, seq) ordering, and the parallel
+// executor's windowed barrier plus the same arbitration keys reproduce
+// the serial schedule to the picosecond.
 //
 // Workload completion counters are atomics because the parallel runs
 // invoke completion callbacks from partition worker goroutines.
@@ -14,6 +14,7 @@ package tccluster_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -328,35 +329,59 @@ func faultRecoveryRun(t *testing.T, opts ...tccluster.Option) queueFingerprint {
 	return fingerprint(c)
 }
 
-// TestLadderMatchesLegacyOnAllExampleTopologies is the determinism
-// gate: for each example-shaped workload, the ladder and heap queues
-// must agree on event count, final virtual time, and every per-link
-// counter.
+// exampleWorkloads are the example-shaped workloads both gates below
+// run.
+var exampleWorkloads = []struct {
+	name string
+	run  func(*testing.T, ...tccluster.Option) queueFingerprint
+}{
+	{"quickstart-chain2", quickstartRun},
+	{"allreduce-chain4", allreduceRun},
+	{"halo-chain3", haloRun},
+	{"pgas-chain4", pgasRun},
+	{"cluster16-mesh4x4", meshRun},
+	{"failures-lossy-chain2", lossyRun},
+	{"fault-recovery-chain4", faultRecoveryRun},
+}
+
+// goldenFingerprint is the committed form of a queueFingerprint: the
+// per-link counters fold into one FNV-1a digest.
+type goldenFingerprint struct {
+	Fired      uint64
+	NowPS      int64
+	LinkDigest uint64
+}
+
+func (fp queueFingerprint) golden() goldenFingerprint {
+	h := fnv.New64a()
+	fmt.Fprint(h, fp.links)
+	return goldenFingerprint{Fired: fp.fired, NowPS: int64(fp.now), LinkDigest: h.Sum64()}
+}
+
+// exampleGolden was recorded on the last build that carried the seed
+// container/heap event queue, where the ladder and heap queues agreed
+// on every entry. A change here is a change in simulated behaviour and
+// must be explicit in the diff.
+var exampleGolden = map[string]goldenFingerprint{
+	"quickstart-chain2":     {Fired: 28995, NowPS: 1796194108, LinkDigest: 0x180393fc936f598c},
+	"allreduce-chain4":      {Fired: 1974, NowPS: 1591519081, LinkDigest: 0xcbf9521bd0fc2e19},
+	"halo-chain3":           {Fired: 1520, NowPS: 1194297012, LinkDigest: 0xc0d814d4d38311ed},
+	"pgas-chain4":           {Fired: 1992, NowPS: 1591226456, LinkDigest: 0x6484a2f3fd593775},
+	"cluster16-mesh4x4":     {Fired: 7512, NowPS: 6355891685, LinkDigest: 0xc180b3d3aed5257d},
+	"failures-lossy-chain2": {Fired: 1252, NowPS: 804223576, LinkDigest: 0x87a17b1c1fd21b24},
+	"fault-recovery-chain4": {Fired: 173240, NowPS: 7590379023, LinkDigest: 0x3067a0e2da1f9893},
+}
+
+// TestLadderMatchesLegacyOnAllExampleTopologies is the serial
+// determinism gate: each example-shaped workload must reproduce the
+// event count, final virtual time and per-link counters the legacy
+// heap queue recorded in exampleGolden.
 func TestLadderMatchesLegacyOnAllExampleTopologies(t *testing.T) {
-	scenarios := []struct {
-		name string
-		run  func(*testing.T, ...tccluster.Option) queueFingerprint
-	}{
-		{"quickstart-chain2", quickstartRun},
-		{"allreduce-chain4", allreduceRun},
-		{"halo-chain3", haloRun},
-		{"pgas-chain4", pgasRun},
-		{"cluster16-mesh4x4", meshRun},
-		{"failures-lossy-chain2", lossyRun},
-		{"fault-recovery-chain4", faultRecoveryRun},
-	}
-	for _, sc := range scenarios {
+	for _, sc := range exampleWorkloads {
 		t.Run(sc.name, func(t *testing.T) {
-			ladder := sc.run(t)
-			heap := sc.run(t, tccluster.WithLegacyEventQueue())
-			if ladder.fired != heap.fired {
-				t.Errorf("event count diverged: ladder %d, heap %d", ladder.fired, heap.fired)
-			}
-			if ladder.now != heap.now {
-				t.Errorf("final virtual time diverged: ladder %v, heap %v", ladder.now, heap.now)
-			}
-			if !reflect.DeepEqual(ladder.links, heap.links) {
-				t.Errorf("per-link counters diverged:\nladder: %+v\nheap:   %+v", ladder.links, heap.links)
+			got := sc.run(t).golden()
+			if want := exampleGolden[sc.name]; got != want {
+				t.Errorf("fingerprint diverged from the golden table:\n got  %#v\n want %#v", got, want)
 			}
 		})
 	}
@@ -369,19 +394,7 @@ func TestLadderMatchesLegacyOnAllExampleTopologies(t *testing.T) {
 // exactly. Event order inside a window may differ between executors;
 // anything observable here may not.
 func TestParallelMatchesSerialOnAllExampleTopologies(t *testing.T) {
-	scenarios := []struct {
-		name string
-		run  func(*testing.T, ...tccluster.Option) queueFingerprint
-	}{
-		{"quickstart-chain2", quickstartRun},
-		{"allreduce-chain4", allreduceRun},
-		{"halo-chain3", haloRun},
-		{"pgas-chain4", pgasRun},
-		{"cluster16-mesh4x4", meshRun},
-		{"failures-lossy-chain2", lossyRun},
-		{"fault-recovery-chain4", faultRecoveryRun},
-	}
-	for _, sc := range scenarios {
+	for _, sc := range exampleWorkloads {
 		t.Run(sc.name, func(t *testing.T) {
 			serial := sc.run(t)
 			for _, workers := range []int{2, 4} {

@@ -75,9 +75,6 @@ func New(topo *topology.Topology, cfg Config) (*Cluster, error) {
 	if cfg.Parallel < 0 {
 		return nil, fmt.Errorf("core: negative Parallel %d: %w", cfg.Parallel, errs.ErrBadConfig)
 	}
-	if cfg.Parallel > 1 && cfg.LegacyEventQueue {
-		return nil, fmt.Errorf("core: Parallel is incompatible with LegacyEventQueue — the legacy queue is the serial reference: %w", errs.ErrBadConfig)
-	}
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
@@ -89,11 +86,7 @@ func New(topo *topology.Topology, cfg Config) (*Cluster, error) {
 			topo.N(), cfg.MemPerNode, errs.ErrBadConfig)
 	}
 
-	eng := sim.NewEngine()
-	if cfg.LegacyEventQueue {
-		eng = sim.NewLegacyEngine()
-	}
-	c := &Cluster{eng: eng, cfg: cfg, topo: topo}
+	c := &Cluster{eng: sim.NewEngine(), cfg: cfg, topo: topo}
 
 	type slot struct{ socket, link int }
 	extSlots := make([]map[int]slot, topo.N()) // node -> topology port -> (socket, link)

@@ -279,6 +279,15 @@ func (c *Cluster) TracerFor(i int) trace.Tracer {
 	return c.shards.Shard(c.part[i])
 }
 
+// Close stops the parallel executor's worker goroutines. It is
+// idempotent and safe on serial clusters and on clusters that never
+// ran; running the cluster again restarts the workers.
+func (c *Cluster) Close() {
+	if c.runner != nil {
+		c.runner.Close()
+	}
+}
+
 // EventsFired returns the total number of simulation events executed
 // across all partitions.
 func (c *Cluster) EventsFired() uint64 {

@@ -93,12 +93,6 @@ func TestParallelConfigValidation(t *testing.T) {
 	if _, err := New(topo, cfg); !errors.Is(err, errs.ErrBadConfig) {
 		t.Fatalf("negative Parallel: got %v, want ErrBadConfig", err)
 	}
-	cfg = DefaultConfig()
-	cfg.Parallel = 2
-	cfg.LegacyEventQueue = true
-	if _, err := New(topo, cfg); !errors.Is(err, errs.ErrBadConfig) {
-		t.Fatalf("Parallel+LegacyEventQueue: got %v, want ErrBadConfig", err)
-	}
 }
 
 // TestParallelZeroLookaheadRejected forges a cluster whose only external

@@ -82,11 +82,6 @@ type Config struct {
 	// message and MPI layers. Nil disables tracing at zero cost beyond a
 	// nil check per potential emission.
 	Tracer trace.Tracer
-	// LegacyEventQueue runs the simulator on the original container/heap
-	// event queue instead of the ladder queue. Both produce identical
-	// virtual-time results; this exists for paired benchmarking
-	// (tccbench -bench engine) and as a determinism cross-check.
-	LegacyEventQueue bool
 	// Profiler, when non-nil, receives packet-lifecycle phase
 	// observations from every instrumented layer (link queue/retry/
 	// serialization, northbridge pipeline, memory controller, CPU store

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"repro/internal/hist"
 	"repro/internal/trace"
 )
 
@@ -89,7 +90,7 @@ func gaugesToJSON(m map[trace.Key]float64) []GaugeJSON {
 	return out
 }
 
-func histsToJSON(m map[trace.Key]trace.HistogramSnapshot) []HistJSON {
+func histsToJSON(m map[trace.Key]hist.Snapshot) []HistJSON {
 	out := make([]HistJSON, 0, len(m))
 	for _, k := range sortedKeys(m) {
 		h := m[k]

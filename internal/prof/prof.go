@@ -25,9 +25,9 @@
 package prof
 
 import (
-	"math/bits"
 	"sync/atomic"
 
+	"repro/internal/hist"
 	"repro/internal/sim"
 )
 
@@ -117,124 +117,14 @@ func (p NodePhase) String() string {
 	return "node.unknown"
 }
 
-// histBuckets covers bits.Len64 of any uint64 duration: bucket b holds
-// durations whose bit length is b, i.e. [2^(b-1), 2^b) picoseconds
-// (bucket 0 holds exact zeros).
-const histBuckets = 65
-
-// Hist is a log2-bucketed histogram of picosecond durations with one
-// writer goroutine and any number of snapshot readers. Increments are
-// atomic load+store pairs rather than read-modify-writes — single-
-// writer ownership makes that exact, and on x86 it turns each observe
-// into plain MOVs instead of locked XADDs, which is what keeps enabled
-// profiling inside its overhead budget. The observation count is
-// derived from the buckets at snapshot time instead of being a third
-// stored word.
-type Hist struct {
-	sum     atomic.Uint64
-	buckets [histBuckets]atomic.Uint64
-}
-
-// Observe folds one duration in. Negative durations clamp to zero
-// (they cannot arise from well-ordered stamps, but a histogram must
-// not corrupt on one). Must only be called from the histogram's writer
-// goroutine.
-func (h *Hist) Observe(d sim.Time) {
-	v := int64(d)
-	if v < 0 {
-		v = 0
-	}
-	h.sum.Store(h.sum.Load() + uint64(v))
-	b := &h.buckets[bits.Len64(uint64(v))]
-	b.Store(b.Load() + 1)
-}
-
-// HistSnapshot is a point-in-time copy of a Hist.
-type HistSnapshot struct {
-	Count   uint64
-	Sum     uint64
-	Buckets [histBuckets]uint64
-}
-
-// Snapshot copies the histogram. A concurrent observer may land
-// between field reads; each field is individually consistent and the
-// count is the bucket total at the moment each bucket was read.
-func (h *Hist) Snapshot() HistSnapshot {
-	var s HistSnapshot
-	s.Sum = h.sum.Load()
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-		s.Count += s.Buckets[i]
-	}
-	return s
-}
-
-// Mean returns the mean duration in picoseconds.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
+// ps converts a phase duration for a histogram. Negative durations
+// cannot arise from well-ordered stamps, but clamp to zero rather than
+// wrap if one ever does.
+func ps(d sim.Time) uint64 {
+	if d < 0 {
 		return 0
 	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
-// Quantile interpolates the q-quantile (0..1) linearly inside the
-// log2 bucket that crosses it.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(s.Count)
-	var cum float64
-	for b, c := range s.Buckets {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if next >= target {
-			lo, hi := bucketBounds(b)
-			frac := (target - cum) / float64(c)
-			return lo + frac*(hi-lo)
-		}
-		cum = next
-	}
-	_, hi := bucketBounds(histBuckets - 1)
-	return hi
-}
-
-// bucketBounds returns the inclusive lower and upper value bounds of
-// bucket b.
-func bucketBounds(b int) (lo, hi float64) {
-	if b == 0 {
-		return 0, 0
-	}
-	lo = float64(uint64(1) << (b - 1))
-	if b >= 64 {
-		return lo, lo * 2
-	}
-	return lo, float64(uint64(1)<<b) - 1
-}
-
-// constSnapshot synthesizes the histogram a constant-valued phase
-// would have produced: n observations of exactly d.
-func constSnapshot(n uint64, d sim.Time) HistSnapshot {
-	var s HistSnapshot
-	if n == 0 {
-		return s
-	}
-	v := uint64(d)
-	if int64(d) < 0 {
-		v = 0
-	}
-	s.Count = n
-	s.Sum = n * v
-	s.Buckets[bits.Len64(v)] = n
-	return s
+	return uint64(d)
 }
 
 // LinkProf aggregates one external link's phase histograms. Each port
@@ -251,7 +141,7 @@ func constSnapshot(n uint64, d sim.Time) HistSnapshot {
 // (and so its overhead) small. Phase merges the counted population
 // back into the histogram snapshot.
 type LinkProf struct {
-	h      [2][NumLinkPhases]Hist
+	h      [2][NumLinkPhases]hist.Hist
 	constN [2][NumLinkPhases]atomic.Uint64
 	constD [NumLinkPhases]atomic.Int64
 	// fastN counts packets whose whole lifecycle hit the constants:
@@ -292,15 +182,15 @@ func (lp *LinkProf) Observe(side int, p LinkPhase, d sim.Time) {
 	if lp == nil {
 		return
 	}
-	lp.h[side][p].Observe(d)
+	lp.h[side][p].Observe(ps(d))
 }
 
 // Phase snapshots one phase histogram, merged across both sides, the
 // constant-counter population and the phase's share of the all-constant
 // fast packets.
-func (lp *LinkProf) Phase(p LinkPhase) HistSnapshot {
+func (lp *LinkProf) Phase(p LinkPhase) hist.Snapshot {
 	s := lp.h[0][p].Snapshot()
-	mergeInto(&s, lp.h[1][p].Snapshot())
+	s.Merge(lp.h[1][p].Snapshot())
 	n := lp.constN[0][p].Load() + lp.constN[1][p].Load()
 	switch p {
 	case LinkQueue, LinkSer, LinkFlight:
@@ -310,7 +200,7 @@ func (lp *LinkProf) Phase(p LinkPhase) HistSnapshot {
 	if p == LinkQueue {
 		d = 0 // fast/const queue observations are exact zero waits
 	}
-	mergeInto(&s, constSnapshot(n, d))
+	s.Merge(hist.Constant(n, ps(d)))
 	return s
 }
 
@@ -323,7 +213,7 @@ func (lp *LinkProf) Phase(p LinkPhase) HistSnapshot {
 // in the common case): the instrumentation sites compare against the
 // constant and fall back to the histogram only for the contended tail.
 type NodeProf struct {
-	h      [NumNodePhases]Hist
+	h      [NumNodePhases]hist.Hist
 	constN [NumNodePhases]atomic.Uint64
 	constD [NumNodePhases]atomic.Int64
 	// fastXbarN counts uncontended crossbar passes — constant crossbar
@@ -361,19 +251,19 @@ func (np *NodeProf) Observe(p NodePhase, d sim.Time) {
 	if np == nil {
 		return
 	}
-	np.h[p].Observe(d)
+	np.h[p].Observe(ps(d))
 }
 
 // Phase snapshots one phase histogram, merged with the
 // constant-counter population and, for the crossbar and hop phases,
 // their share of the fused fast passes.
-func (np *NodeProf) Phase(p NodePhase) HistSnapshot {
+func (np *NodeProf) Phase(p NodePhase) hist.Snapshot {
 	s := np.h[p].Snapshot()
 	n := np.constN[p].Load()
 	if p == NodeNBXbar || p == NodeNBHop {
 		n += np.fastXbarN.Load()
 	}
-	mergeInto(&s, constSnapshot(n, sim.Time(np.constD[p].Load())))
+	s.Merge(hist.Constant(n, ps(sim.Time(np.constD[p].Load()))))
 	return s
 }
 

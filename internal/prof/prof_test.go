@@ -8,17 +8,23 @@ import (
 	"repro/internal/sim"
 )
 
+// TestHistObserveAndSnapshot checks a node phase's histogram path:
+// every observation lands in its log2 bucket with exact extremes, and a
+// negative duration clamps to zero instead of wrapping.
 func TestHistObserveAndSnapshot(t *testing.T) {
-	var h Hist
+	var np NodeProf
 	for _, d := range []sim.Time{0, 1, 1, 7, 8, 1000, -5} {
-		h.Observe(d)
+		np.Observe(NodeMemService, d)
 	}
-	s := h.Snapshot()
+	s := np.Phase(NodeMemService)
 	if s.Count != 7 {
 		t.Fatalf("count %d, want 7", s.Count)
 	}
 	if s.Sum != 0+1+1+7+8+1000+0 {
 		t.Fatalf("sum %d, want 1017 (negative clamps to zero)", s.Sum)
+	}
+	if s.Min != 0 || s.Max != 1000 {
+		t.Fatalf("min/max %d/%d, want 0/1000", s.Min, s.Max)
 	}
 	// Bucket b holds durations of bit length b: zeros (and the clamped
 	// negative) in 0, the two 1s in 1, 7 in 3, 8 in 4, 1000 in 10.
@@ -32,21 +38,54 @@ func TestHistObserveAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestHistQuantileBounds: quantiles stay inside the observed range — a
+// phase that only ever took one value reports it exactly rather than
+// an interpolation across its power-of-two bucket.
 func TestHistQuantileBounds(t *testing.T) {
-	var h Hist
-	if q := h.Snapshot().Quantile(0.5); q != 0 {
-		t.Errorf("empty histogram quantile = %g, want 0", q)
+	var np NodeProf
+	if q := np.Phase(NodeNBXbar).Quantile(0.5); q != 0 {
+		t.Errorf("empty phase quantile = %g, want 0", q)
 	}
 	for i := 0; i < 100; i++ {
-		h.Observe(1000)
+		np.Observe(NodeNBXbar, 1000)
 	}
-	s := h.Snapshot()
-	// All mass in bucket 10 ([512, 1023]); every quantile interpolates
-	// inside it.
+	np.Observe(NodeNBXbar, 600)
+	s := np.Phase(NodeNBXbar)
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		v := s.Quantile(q)
-		if v < 512 || v > 1023 {
-			t.Errorf("quantile(%g) = %g, outside bucket [512,1023]", q, v)
+		if v := s.Quantile(q); v < 600 || v > 1000 {
+			t.Errorf("quantile(%g) = %g, outside observed [600,1000]", q, v)
+		}
+	}
+}
+
+// TestConstantPhaseQuantilesExact: a phase fed only through the
+// constant counters (SetConst plus AddConst/AddFast, never the
+// histogram) reports its constant as p50 and p99 in the summary.
+func TestConstantPhaseQuantilesExact(t *testing.T) {
+	p := New()
+	p.Init(1, 1)
+	lp, np := p.Link(0), p.Node(0)
+	lp.SetConst(LinkSer, 1235)
+	lp.SetConst(LinkFlight, 9260)
+	np.SetConst(NodeNBBridge, 3000)
+	for i := 0; i < 40; i++ {
+		lp.AddFast(i % 2)
+		np.AddConst(NodeNBBridge)
+	}
+	want := map[string]float64{"link.queue": 0, "link.ser": 1235, "link.flight": 9260, "nb.bridge": 3000}
+	sum := p.Summary()
+	if len(sum.Budget) != len(want) {
+		t.Fatalf("budget has %d phases, want %d: %+v", len(sum.Budget), len(want), sum.Budget)
+	}
+	for _, ph := range sum.Budget {
+		w, ok := want[ph.Phase]
+		if !ok {
+			t.Errorf("unexpected phase %s", ph.Phase)
+			continue
+		}
+		if ph.Count != 40 || ph.MeanPS != w || ph.P50PS != w || ph.P99PS != w {
+			t.Errorf("%s: count %d mean %g p50 %g p99 %g, want 40 and exactly %g",
+				ph.Phase, ph.Count, ph.MeanPS, ph.P50PS, ph.P99PS, w)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/hist"
 	"repro/internal/sim"
 )
 
@@ -63,7 +64,7 @@ type Summary struct {
 // summaries stay readable; the full per-link table is still present.
 const maxCriticalHops = 8
 
-func phaseStats(name string, s HistSnapshot) PhaseStats {
+func phaseStats(name string, s hist.Snapshot) PhaseStats {
 	return PhaseStats{
 		Phase:   name,
 		Count:   s.Count,
@@ -84,18 +85,18 @@ func (p *Profiler) Summary() Summary {
 	// Cluster-wide budget: merge snapshots across links / nodes per
 	// phase. Quantiles of a merged phase come from summed buckets.
 	for ph := LinkPhase(0); ph < NumLinkPhases; ph++ {
-		var merged HistSnapshot
+		var merged hist.Snapshot
 		for i := range p.links {
-			mergeInto(&merged, p.links[i].Phase(ph))
+			merged.Merge(p.links[i].Phase(ph))
 		}
 		if merged.Count > 0 {
 			out.Budget = append(out.Budget, phaseStats(ph.String(), merged))
 		}
 	}
 	for ph := NodePhase(0); ph < NumNodePhases; ph++ {
-		var merged HistSnapshot
+		var merged hist.Snapshot
 		for i := range p.nodes {
-			mergeInto(&merged, p.nodes[i].Phase(ph))
+			merged.Merge(p.nodes[i].Phase(ph))
 		}
 		if merged.Count > 0 {
 			out.Budget = append(out.Budget, phaseStats(ph.String(), merged))
@@ -164,14 +165,6 @@ func (p *Profiler) Summary() Summary {
 		out.PDES = &s
 	}
 	return out
-}
-
-func mergeInto(dst *HistSnapshot, s HistSnapshot) {
-	dst.Count += s.Count
-	dst.Sum += s.Sum
-	for i := range s.Buckets {
-		dst.Buckets[i] += s.Buckets[i]
-	}
 }
 
 // fmtPS renders picoseconds with an adaptive unit.

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/hist"
 	"repro/internal/msg"
 	"repro/internal/prof"
 	"repro/internal/sim"
@@ -41,7 +42,7 @@ const (
 
 // Counter indices. Counters are single-writer atomics — written only
 // by the owning node's engine, loadable any time by the monitor's HTTP
-// goroutine — following the prof.Hist contract.
+// goroutine — following the hist.Hist single-writer contract.
 const (
 	cArrivals = iota
 	cAdmitted
@@ -128,7 +129,7 @@ type nodeState struct {
 	aliveBuf     []int
 
 	ctr     [numCtr]atomic.Uint64
-	lat     prof.Hist
+	lat     hist.Hist
 	windows []windowCell
 }
 
@@ -464,7 +465,7 @@ func (ns *nodeState) onLocal(id uint64) {
 func (ns *nodeState) complete(p pendingReq) {
 	now := ns.eng.Now()
 	lat := now - p.start
-	ns.lat.Observe(lat)
+	ns.lat.Observe(uint64(lat))
 	ns.bump(cCompleted)
 	w := ns.win(now)
 	w.completed++

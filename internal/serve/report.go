@@ -1,6 +1,6 @@
 package serve
 
-import "repro/internal/prof"
+import "repro/internal/hist"
 
 // Window is one goodput accounting window of the run, merged across all
 // client nodes. The fault campaigns read the crash story straight off
@@ -54,15 +54,6 @@ type Report struct {
 	Windows  []Window `json:"windows,omitempty"`
 }
 
-// mergeHist folds snapshot b into a.
-func mergeHist(a *prof.HistSnapshot, b prof.HistSnapshot) {
-	a.Count += b.Count
-	a.Sum += b.Sum
-	for i := range a.Buckets {
-		a.Buckets[i] += b.Buckets[i]
-	}
-}
-
 // sum totals one counter across all nodes.
 func (s *Service) sum(c int) uint64 {
 	var t uint64
@@ -100,10 +91,10 @@ func (s *Service) Report() Report {
 		Bad:        s.sum(cBad),
 	}
 
-	var lat prof.HistSnapshot
+	var lat hist.Snapshot
 	maxWin := 0
 	for _, ns := range s.nodes {
-		mergeHist(&lat, ns.lat.Snapshot())
+		lat.Merge(ns.lat.Snapshot())
 		if len(ns.windows) > maxWin {
 			maxWin = len(ns.windows)
 		}
@@ -153,7 +144,7 @@ type Snapshot struct {
 // HTTP goroutine while the simulation is running.
 func (s *Service) Snapshot() Snapshot {
 	var sn Snapshot
-	var lat prof.HistSnapshot
+	var lat hist.Snapshot
 	for _, ns := range s.nodes {
 		sn.Requests += ns.ctr[cArrivals].Load()
 		sn.Completed += ns.ctr[cCompleted].Load()
@@ -161,7 +152,7 @@ func (s *Service) Snapshot() Snapshot {
 		sn.Timeouts += ns.ctr[cTimeouts].Load()
 		sn.Shed += ns.ctr[cShed].Load()
 		sn.DeadMarks += ns.ctr[cDeadMarks].Load()
-		mergeHist(&lat, ns.lat.Snapshot())
+		lat.Merge(ns.lat.Snapshot())
 	}
 	sn.P50PS = lat.Quantile(0.50)
 	sn.P99PS = lat.Quantile(0.99)

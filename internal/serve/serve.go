@@ -27,7 +27,7 @@
 // node's engine events (arrivals, timeouts and routing on the client's
 // engine; service and replication on the server's), so serial and
 // WithParallel runs produce bit-identical reports. Counters and latency
-// histograms use single-writer atomics (the prof.Hist contract), which
+// histograms use single-writer atomics (the hist.Hist contract), which
 // also makes mid-run snapshots from the monitor's HTTP goroutine safe.
 package serve
 

@@ -63,23 +63,6 @@ func TestAtStepZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// The legacy queue is expected to allocate (interface{} boxing on every
-// push/pop); this test documents the contrast rather than pinning an
-// exact count.
-func TestLegacyQueueAllocatesPerOp(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	e := NewLegacyEngine()
-	startTickers(e, 64)
-	allocs := testing.AllocsPerRun(500, func() {
-		e.Step()
-	})
-	if allocs == 0 {
-		t.Fatal("legacy heap reported 0 allocs/op; baseline comparison is meaningless")
-	}
-}
-
 func benchSelfClock(b *testing.B, e *Engine) {
 	b.ReportAllocs()
 	startTickers(e, 64)
@@ -90,4 +73,3 @@ func benchSelfClock(b *testing.B, e *Engine) {
 }
 
 func BenchmarkLadderSelfClock(b *testing.B) { benchSelfClock(b, NewEngine()) }
-func BenchmarkLegacySelfClock(b *testing.B) { benchSelfClock(b, NewLegacyEngine()) }

@@ -13,9 +13,7 @@
 // in the tree without per-event closure allocations. The closure-based
 // At/After entry points remain as thin adapters (a func value converts to
 // the Handler interface without allocating). Pending events live in an
-// arena-backed ladder queue (see queue.go); NewLegacyEngine selects the
-// seed container/heap queue instead, kept as a determinism oracle and
-// benchmark baseline.
+// arena-backed ladder queue (see queue.go).
 package sim
 
 import (
@@ -141,18 +139,11 @@ type Engine struct {
 	// clears, and the two are ordered by the barrier handoff.
 	mailDirty []*Mailbox
 
-	q      ladder       // default queue: arena-backed ladder
-	legacy *legacyQueue // non-nil selects the seed container/heap queue
+	q ladder
 }
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine { return &Engine{} }
-
-// NewLegacyEngine returns an engine backed by the seed-era
-// container/heap event queue. Both queues implement the same strict
-// (time, seq) contract; the legacy queue survives as the baseline the
-// determinism suite and tccbench -bench engine compare against.
-func NewLegacyEngine() *Engine { return &Engine{legacy: &legacyQueue{}} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -161,12 +152,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are waiting to execute.
-func (e *Engine) Pending() int {
-	if e.legacy != nil {
-		return e.legacy.len()
-	}
-	return e.q.n
-}
+func (e *Engine) Pending() int { return e.q.n }
 
 // Schedule queues h to receive arg at absolute virtual time t.
 // Scheduling into the past panics: a causal model must never rewind the
@@ -185,10 +171,6 @@ func (e *Engine) scheduleKeyed(t, sat Time, pri uint64, h Handler, arg EventArg)
 		panic(fmt.Sprintf("sim: event scheduled at %v before now %v", t, e.now))
 	}
 	e.seq++
-	if e.legacy != nil {
-		e.legacy.push(t, sat, pri, e.seq, h, arg)
-		return
-	}
 	e.q.insert(t, sat, pri, e.seq, e.q.alloc(h, arg))
 }
 
@@ -275,43 +257,23 @@ func (e *Engine) Step() bool {
 		}
 		e.fireProbe() // may schedule new events: re-peek each round
 	}
-	var (
-		at  Time
-		pri uint64
-		h   Handler
-		arg EventArg
-	)
-	if e.legacy != nil {
-		ev, ok := e.legacy.pop()
-		if !ok {
-			return false
-		}
-		at, pri, h, arg = ev.at, ev.pri, ev.h, ev.arg
-	} else {
-		en, ok := e.q.pop()
-		if !ok {
-			return false
-		}
-		at, pri = en.at, en.pri
-		// Release before dispatch so a handler that reschedules itself
-		// reuses the slot it just vacated.
-		h, arg = e.q.release(en.ref)
+	en, ok := e.q.pop()
+	if !ok {
+		return false
 	}
-	e.now = at
+	// Release before dispatch so a handler that reschedules itself
+	// reuses the slot it just vacated.
+	h, arg := e.q.release(en.ref)
+	e.now = en.at
 	e.fired++
-	e.curPri, e.firing = pri, true
+	e.curPri, e.firing = en.pri, true
 	h.OnEvent(e, arg)
 	e.firing = false
 	return true
 }
 
 // nextTime reports the timestamp of the earliest pending event.
-func (e *Engine) nextTime() (Time, bool) {
-	if e.legacy != nil {
-		return e.legacy.peek()
-	}
-	return e.q.peek()
-}
+func (e *Engine) nextTime() (Time, bool) { return e.q.peek() }
 
 // Run executes events until none remain or Halt is called.
 func (e *Engine) Run() {

@@ -24,6 +24,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"time"
 )
 
@@ -176,9 +177,10 @@ type Parallel struct {
 
 	// Persistent worker pool: spawned lazily on the first run and parked
 	// on their command channels between windows and between runs, so a
-	// run costs zero goroutine spawns.
-	cmds []chan Time
-	done chan int
+	// run costs zero goroutine spawns. Close retires it.
+	cmds    []chan Time
+	done    chan int
+	workers sync.WaitGroup
 
 	stats *ParallelStats // nil = no runtime accounting (zero cost)
 }
@@ -472,6 +474,7 @@ func (p *Parallel) run(deadline Time, bounded bool) {
 	if p.cmds == nil {
 		p.cmds = make([]chan Time, n)
 		p.done = make(chan int, n)
+		p.workers.Add(n)
 		for i := 0; i < n; i++ {
 			p.cmds[i] = make(chan Time, 1)
 			go p.worker(i, p.cmds[i], p.done)
@@ -689,10 +692,25 @@ func (p *Parallel) run(deadline Time, bounded bool) {
 // here, inside the window, so the coordinator's flip and the drain
 // never overlap.
 func (p *Parallel) worker(idx int, cmds chan Time, done chan int) {
+	defer p.workers.Done()
 	for w := range cmds {
 		p.execWindow(idx, w)
 		done <- idx
 	}
+}
+
+// Close stops the worker pool: it closes every worker's command channel
+// and waits for the workers to return. It is idempotent and a no-op on
+// an executor that never ran; a run after Close respawns the pool.
+func (p *Parallel) Close() {
+	if p.cmds == nil {
+		return
+	}
+	for _, c := range p.cmds {
+		close(c)
+	}
+	p.workers.Wait()
+	p.cmds, p.done = nil, nil
 }
 
 // widthBucket maps a window width in picoseconds to its log2 histogram

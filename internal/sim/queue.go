@@ -36,8 +36,9 @@ import (
 // priorities from a counter in scheduling order). On a single engine sat
 // is non-decreasing in seq (the clock never rewinds) and pri order
 // coincides with scheduling order at any (at, sat) tie, so the order is
-// identical to the seed container/heap's (at, seq) — which is what the
-// old-vs-new determinism suite pins down. The extra keys exist for the
+// identical to the seed's plain (at, seq) — which the sorted-slice
+// reference in queue_test.go and the committed example fingerprints
+// pin down. The extra keys exist for the
 // parallel executor: a cross-partition event arrives through a mailbox
 // with a late local seq, and its sender-side stamp and inherited
 // priority are what slot it into the same same-timestamp arbitration

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
 // recorder logs (time, tag) pairs as events fire; used to compare the
-// ladder queue against the legacy heap event-for-event.
+// ladder queue against the sorted-slice reference event-for-event.
 type recorder struct {
 	log []firedAt
 }
@@ -20,92 +22,151 @@ func (r *recorder) OnEvent(e *Engine, arg EventArg) {
 	r.log = append(r.log, firedAt{at: e.Now(), tag: arg.I})
 }
 
-func sameLog(a, b []firedAt) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// refEvent is one event in refEngine's queue: the engine's full
+// ordering key plus the callback to fire.
+type refEvent struct {
+	at, sat Time
+	pri     uint64
+	seq     uint64
+	fire    func()
 }
 
-// Property: for any batch of scheduled events, the ladder queue fires
-// them in exactly the same order as the seed container/heap queue.
+func (a refEvent) before(b refEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.sat != b.sat {
+		return a.sat < b.sat
+	}
+	if a.pri != b.pri {
+		return a.pri < b.pri
+	}
+	return a.seq < b.seq
+}
+
+// refEngine is the ordering reference for the ladder queue: a plain
+// slice kept sorted by (at, sat, pri, seq), with the engine's stamp and
+// lineage-priority rules — sat is the clock at the schedule call, pri
+// is inherited inside a handler and a fresh root draw outside one. It
+// implements the contract the retired container/heap queue did, which
+// is what the tests below still name it after.
+type refEngine struct {
+	now    Time
+	seq    uint64
+	root   uint64
+	cur    uint64
+	firing bool
+	q      []refEvent
+}
+
+func (r *refEngine) push(ev refEvent) {
+	i := sort.Search(len(r.q), func(i int) bool { return ev.before(r.q[i]) })
+	r.q = slices.Insert(r.q, i, ev)
+}
+
+func (r *refEngine) schedule(at Time, fire func()) {
+	pri := r.cur
+	if !r.firing {
+		r.root++
+		pri = r.root
+	}
+	r.seq++
+	r.push(refEvent{at: at, sat: r.now, pri: pri, seq: r.seq, fire: fire})
+}
+
+func (r *refEngine) run() {
+	for len(r.q) > 0 {
+		ev := r.q[0]
+		r.q = r.q[1:]
+		r.now = ev.at
+		r.cur, r.firing = ev.pri, true
+		ev.fire()
+		r.firing = false
+	}
+}
+
+// Property: for any batch of events with arbitrary (at, sat, pri) keys,
+// the ladder queue fires them in exactly the reference order. Keys are
+// injected through scheduleKeyed — the parallel executor's mailbox
+// path — so ties on every key component are exercised, not only the
+// (at, seq) ties local scheduling produces.
 func TestLadderMatchesLegacyOrderingProperty(t *testing.T) {
-	f := func(delays []uint32) bool {
-		newE, oldE := NewEngine(), NewLegacyEngine()
-		newR, oldR := &recorder{}, &recorder{}
-		for i, d := range delays {
-			// Spread delays across bucket widths and past the near
-			// window so the far heap and refill paths get exercised.
-			at := Time(d) * Picosecond
-			newE.Schedule(at, newR, EventArg{I: int64(i)})
-			oldE.Schedule(at, oldR, EventArg{I: int64(i)})
+	// Small key domains make ties on every component common; the time
+	// scale spreads events within a bucket, across buckets and past the
+	// near window into the far heap.
+	scales := [...]Time{Picosecond, 600 * Picosecond, 3 * Microsecond}
+	type key struct{ At, Scale, Sat, Pri uint8 }
+	f := func(keys []key) bool {
+		e, rec := NewEngine(), &recorder{}
+		var ref refEngine
+		var want []firedAt
+		for i, k := range keys {
+			ev := refEvent{
+				at:  Time(k.At%16) * scales[k.Scale%3],
+				sat: Time(k.Sat % 4),
+				pri: uint64(k.Pri % 4),
+				seq: uint64(i + 1),
+			}
+			tag := int64(i)
+			ev.fire = func() { want = append(want, firedAt{at: ref.now, tag: tag}) }
+			ref.push(ev)
+			e.scheduleKeyed(ev.at, ev.sat, ev.pri, rec, EventArg{I: tag})
 		}
-		newE.Run()
-		oldE.Run()
-		return sameLog(newR.log, oldR.log) &&
-			newE.Now() == oldE.Now() &&
-			newE.Fired() == oldE.Fired()
+		e.Run()
+		ref.run()
+		return slices.Equal(rec.log, want) && e.Now() == ref.now &&
+			e.Fired() == uint64(len(keys))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// chainTicker reschedules itself with a pseudo-random gap until its
-// budget runs out, and occasionally spawns a sibling — a workload shaped
-// like the simulator's own traffic (mostly near-future events with the
-// odd far-future retrain), run identically on both queues.
-type chainTicker struct {
-	e      *Engine
-	r      *Rand
-	rec    *recorder
-	budget int
-	id     int64
-}
-
-func (c *chainTicker) OnEvent(e *Engine, arg EventArg) {
-	c.rec.log = append(c.rec.log, firedAt{at: e.Now(), tag: c.id<<32 | arg.I})
-	if c.budget <= 0 {
-		return
-	}
-	c.budget--
-	gap := Time(c.r.Intn(2000)) * Picosecond
-	if c.r.Intn(50) == 0 {
-		gap += 3 * Microsecond // jump past the near window
-	}
-	e.ScheduleAfter(gap, c, EventArg{I: arg.I + 1})
-	if c.r.Intn(20) == 0 && c.budget > 0 {
-		c.budget--
-		sib := &chainTicker{e: e, r: c.r, rec: c.rec, budget: 0, id: c.id + 1000}
-		e.ScheduleAfter(gap/2, sib, EventArg{})
-	}
-}
-
-func runChainWorkload(e *Engine) *recorder {
-	rec := &recorder{}
+// runChainWorkload runs a workload shaped like the simulator's own
+// traffic — eight self-rescheduling chains of mostly near-future events
+// with the odd far-future jump and spawned sibling — through now and
+// after, and logs every firing. The same seed drives it on the engine
+// and on the reference.
+func runChainWorkload(now func() Time, after func(Time, func()), run func()) []firedAt {
+	var log []firedAt
 	r := NewRand(1234)
-	for i := 0; i < 8; i++ {
-		tk := &chainTicker{e: e, r: r, rec: rec, budget: 500, id: int64(i)}
-		e.Schedule(Time(i)*Nanosecond, tk, EventArg{})
+	var tick func(id, step int64, budget *int)
+	tick = func(id, step int64, budget *int) {
+		log = append(log, firedAt{at: now(), tag: id<<32 | step})
+		if *budget <= 0 {
+			return
+		}
+		*budget--
+		gap := Time(r.Intn(2000)) * Picosecond
+		if r.Intn(50) == 0 {
+			gap += 3 * Microsecond // jump past the near window
+		}
+		after(gap, func() { tick(id, step+1, budget) })
+		if r.Intn(20) == 0 && *budget > 0 {
+			*budget--
+			none := 0
+			after(gap/2, func() { tick(id+1000, 0, &none) })
+		}
 	}
-	e.Run()
-	return rec
+	for i := int64(0); i < 8; i++ {
+		budget := 500
+		after(Time(i)*Nanosecond, func() { tick(i, 0, &budget) })
+	}
+	run()
+	return log
 }
 
 func TestLadderMatchesLegacyOnChainedWorkload(t *testing.T) {
-	newR := runChainWorkload(NewEngine())
-	oldR := runChainWorkload(NewLegacyEngine())
-	if len(newR.log) == 0 {
+	e := NewEngine()
+	got := runChainWorkload(e.Now, e.After, e.Run)
+	var ref refEngine
+	want := runChainWorkload(func() Time { return ref.now },
+		func(d Time, fn func()) { ref.schedule(ref.now+d, fn) }, ref.run)
+	if len(got) == 0 {
 		t.Fatal("workload fired no events")
 	}
-	if !sameLog(newR.log, oldR.log) {
-		t.Fatalf("ladder and legacy queues diverged: %d vs %d events",
-			len(newR.log), len(oldR.log))
+	if !slices.Equal(got, want) {
+		t.Fatalf("ladder and reference diverged: %d vs %d events", len(got), len(want))
 	}
 }
 
@@ -183,49 +244,34 @@ func TestScheduleAfterNegativePanics(t *testing.T) {
 	e.ScheduleAfter(-1, handlerFunc(func(*Engine, EventArg) {}), EventArg{})
 }
 
-func TestLegacyEngineSchedulingIntoPastPanics(t *testing.T) {
-	e := NewLegacyEngine()
-	e.At(10*Nanosecond, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling into the past did not panic")
-			}
-		}()
-		e.At(5*Nanosecond, func() {})
-	})
-	e.Run()
-}
-
 // An armed probe whose wake time falls between the last event and the
 // RunUntil deadline must fire on the final clock jump — at its exact
 // wake time, not at the deadline the fast-forward lands on.
 func TestRunUntilFiresProbeOnFinalClockJump(t *testing.T) {
-	for _, mk := range []func() *Engine{NewEngine, NewLegacyEngine} {
-		e := mk()
-		var wakes []Time
-		e.SetProbe(func(now Time) Time {
-			wakes = append(wakes, now)
-			return now + 100*Nanosecond
-		}, 50*Nanosecond)
-		e.At(10*Nanosecond, func() {})
-		e.RunUntil(80 * Nanosecond)
-		// The 10ns event is before the 50ns wake; the jump to the 80ns
-		// deadline crosses the wake, which fires exactly at 50ns.
-		if len(wakes) != 1 || wakes[0] != 50*Nanosecond {
-			t.Fatalf("wakes after first RunUntil = %v, want [50ns]", wakes)
-		}
-		if e.Now() != 80*Nanosecond {
-			t.Fatalf("Now() = %v, want 80ns", e.Now())
-		}
-		// Probe re-armed at 150ns: an event-free run to 200ns fires it
-		// at 150ns on the deadline jump.
-		e.RunUntil(200 * Nanosecond)
-		if len(wakes) != 2 || wakes[1] != 150*Nanosecond {
-			t.Fatalf("wakes after second RunUntil = %v, want [50ns 150ns]", wakes)
-		}
-		if e.Now() != 200*Nanosecond {
-			t.Fatalf("Now() = %v, want 200ns", e.Now())
-		}
+	e := NewEngine()
+	var wakes []Time
+	e.SetProbe(func(now Time) Time {
+		wakes = append(wakes, now)
+		return now + 100*Nanosecond
+	}, 50*Nanosecond)
+	e.At(10*Nanosecond, func() {})
+	e.RunUntil(80 * Nanosecond)
+	// The 10ns event is before the 50ns wake; the jump to the 80ns
+	// deadline crosses the wake, which fires exactly at 50ns.
+	if len(wakes) != 1 || wakes[0] != 50*Nanosecond {
+		t.Fatalf("wakes after first RunUntil = %v, want [50ns]", wakes)
+	}
+	if e.Now() != 80*Nanosecond {
+		t.Fatalf("Now() = %v, want 80ns", e.Now())
+	}
+	// Probe re-armed at 150ns: an event-free run to 200ns fires it
+	// at 150ns on the deadline jump.
+	e.RunUntil(200 * Nanosecond)
+	if len(wakes) != 2 || wakes[1] != 150*Nanosecond {
+		t.Fatalf("wakes after second RunUntil = %v, want [50ns 150ns]", wakes)
+	}
+	if e.Now() != 200*Nanosecond {
+		t.Fatalf("Now() = %v, want 200ns", e.Now())
 	}
 }
 

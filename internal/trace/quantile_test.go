@@ -3,10 +3,24 @@ package trace
 import (
 	"math"
 	"testing"
+
+	"repro/internal/hist"
 )
 
+// observed records vs into a registry histogram and returns the
+// registry's snapshot of it.
+func observed(vs ...uint64) hist.Snapshot {
+	m := NewMetrics()
+	k := Key{Name: "test.latency_ps"}
+	h := m.Histogram(k)
+	for _, v := range vs {
+		h.Observe(v)
+	}
+	return m.Snapshot().Histograms[k]
+}
+
 func TestQuantileEmptyHistogram(t *testing.T) {
-	var s HistogramSnapshot
+	s := observed()
 	for _, p := range []float64{0, 0.5, 0.99, 1, math.NaN()} {
 		if q := s.Quantile(p); q != 0 {
 			t.Fatalf("Quantile(%v) on empty histogram = %g, want 0", p, q)
@@ -15,11 +29,11 @@ func TestQuantileEmptyHistogram(t *testing.T) {
 }
 
 func TestQuantileSingleValueIsExact(t *testing.T) {
-	h := &Histogram{}
-	for i := 0; i < 10; i++ {
-		h.Observe(100)
+	vs := make([]uint64, 10)
+	for i := range vs {
+		vs[i] = 100
 	}
-	s := h.snapshot()
+	s := observed(vs...)
 	// A power-of-two bucket spans [64, 128); min/max clamping must pull
 	// every quantile back to the one observed value.
 	for _, p := range []float64{0, 0.5, 0.99, 0.999, 1} {
@@ -30,12 +44,12 @@ func TestQuantileSingleValueIsExact(t *testing.T) {
 }
 
 func TestQuantileUniformDistribution(t *testing.T) {
-	h := &Histogram{}
 	const n = 1000
-	for v := uint64(1); v <= n; v++ {
-		h.Observe(v)
+	vs := make([]uint64, n)
+	for i := range vs {
+		vs[i] = uint64(i + 1)
 	}
-	s := h.snapshot()
+	s := observed(vs...)
 	cases := []struct {
 		p    float64
 		want float64
@@ -66,11 +80,7 @@ func TestQuantileUniformDistribution(t *testing.T) {
 }
 
 func TestQuantileMonotonic(t *testing.T) {
-	h := &Histogram{}
-	for _, v := range []uint64{0, 1, 3, 8, 8, 8, 120, 4096, 1 << 20} {
-		h.Observe(v)
-	}
-	s := h.snapshot()
+	s := observed(0, 1, 3, 8, 8, 8, 120, 4096, 1<<20)
 	prev := math.Inf(-1)
 	for p := 0.0; p <= 1.0; p += 0.01 {
 		q := s.Quantile(p)

@@ -47,20 +47,26 @@ func TestCollectorDerivesLatencyHistogram(t *testing.T) {
 	}
 }
 
+// TestHistogramConcurrent drives the collector's derived latency
+// histogram from several goroutines at once: histograms take one writer
+// at a time, and the collector's lock is what makes concurrent emitters
+// safe.
 func TestHistogramConcurrent(t *testing.T) {
-	h := &Histogram{}
+	c := NewCollector(64)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(base uint64) {
+		go func(src int) {
 			defer wg.Done()
+			base := sim.Time(src) * 1000
 			for i := uint64(0); i < 1000; i++ {
-				h.Observe(base + i)
+				c.Emit(Event{At: 0, Kind: KindPacketSent, Link: 1, Src: src, Seq: i})
+				c.Emit(Event{At: base + sim.Time(i), Kind: KindPacketDelivered, Link: 1, Src: src, Seq: i})
 			}
-		}(uint64(g) * 1000)
+		}(g)
 	}
 	wg.Wait()
-	s := h.snapshot()
+	s := c.Metrics().Snapshot().Histograms[Key{Name: "link.packet_latency_ps", Link: 1}]
 	if s.Count != 4000 {
 		t.Fatalf("count = %d, want 4000", s.Count)
 	}

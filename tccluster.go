@@ -375,15 +375,6 @@ func WithSeed(seed uint64) Option {
 	return func(b *buildOptions) { b.cfg.Seed = seed }
 }
 
-// WithLegacyEventQueue runs the simulation on the original
-// container/heap event queue instead of the allocation-free ladder
-// queue. Both queues order events identically — (time, seq) — so
-// results match to the picosecond; this option exists for paired
-// benchmarking (tccbench -bench engine) and determinism cross-checks.
-func WithLegacyEventQueue() Option {
-	return func(b *buildOptions) { b.cfg.LegacyEventQueue = true }
-}
-
 // WithParallel runs the simulation on up to n worker goroutines: the
 // cluster is partitioned by supernode, each partition advancing its own
 // event queue, synchronized by a conservative time-windowed barrier
@@ -392,7 +383,6 @@ func WithLegacyEventQueue() Option {
 // runs reach exactly the same final virtual time and per-link counters
 // as serial runs; only the interleaving of causally independent events
 // within a window differs. n <= 1 keeps the reference serial engine.
-// Incompatible with WithLegacyEventQueue.
 func WithParallel(n int) Option {
 	return func(b *buildOptions) { b.cfg.Parallel = n }
 }
@@ -609,10 +599,12 @@ func (c *Cluster) Profile() *ProfileSummary {
 // built WithFaults.
 func (c *Cluster) Faults() *FaultInjector { return c.inj }
 
-// Close releases live resources (the monitor's HTTP listener). It is
-// safe on clusters built without a monitor, and safe to call more than
-// once.
+// Close releases live resources: the parallel executor's worker
+// goroutines and the monitor's HTTP listener. It is safe on serial
+// clusters, on clusters built without a monitor or never run, and safe
+// to call more than once.
 func (c *Cluster) Close() error {
+	c.Cluster.Close()
 	if c.mon == nil {
 		return nil
 	}

@@ -3,7 +3,9 @@ package tccluster_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	tccluster "repro"
 )
@@ -130,4 +132,40 @@ func Example() {
 	s.Send([]byte("hello over the host interface"), func(error) {})
 	c.Run()
 	// Output: hello over the host interface
+}
+
+// TestCloseStopsParallelWorkers pins the executor's lifecycle: every
+// run WithParallel cluster parks worker goroutines between runs, and
+// Close must retire them — idempotently, and harmlessly on a cluster
+// that never ran — so building many clusters leaks nothing.
+func TestCloseStopsParallelWorkers(t *testing.T) {
+	topo, err := tccluster.Chain(4)
+	mustOK(t, err)
+	idle, err := tccluster.New(topo, tccluster.DefaultConfig(), tccluster.WithParallel(2))
+	mustOK(t, err)
+	mustOK(t, idle.Close())
+	mustOK(t, idle.Close())
+
+	start := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		c, err := tccluster.New(topo, tccluster.DefaultConfig(), tccluster.WithParallel(2))
+		mustOK(t, err)
+		if c.Partitions() != 2 {
+			t.Fatalf("cluster runs %d partitions, want 2", c.Partitions())
+		}
+		base := c.Node(3).MemBase() + 8<<20
+		c.Node(0).Core().StoreBlock(base, make([]byte, 64), func(err error) { mustOK(t, err) })
+		c.Run()
+		mustOK(t, c.Close())
+		mustOK(t, c.Close())
+	}
+	// Close waits for its workers, but goroutines other tests left
+	// behind may still be winding down: allow them a moment.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Fatalf("%d goroutines after closing 20 parallel clusters, want %d", n, start)
+	}
 }
