@@ -12,15 +12,14 @@
 //     increasing injected CRC error rate, showing how link-level
 //     retries eat goodput long before the link is declared dead.
 //
-// Emits BENCH_faults.json (same meta stamping as the other benchmark
-// reports) plus human tables.
+// Every point is a fingerprint-only cell: its outcome is pure virtual
+// time, so each point runs once and the baseline gate checks the
+// fingerprint and nothing else.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
 	tccluster "repro"
 	"repro/internal/stats"
@@ -36,8 +35,10 @@ const (
 	faultAckTimeout    = 20 * tccluster.Microsecond
 )
 
-type faultOutagePoint struct {
+// faultPoint is one sweep point's outcome.
+type faultPoint struct {
 	OutageUs     float64 `json:"outage_us"`
+	Rate         float64 `json:"error_rate"`
 	Delivered    int     `json:"delivered"`
 	GoodputMBps  float64 `json:"goodput_mb_per_s"`
 	MaxStallUs   float64 `json:"max_stall_us"` // longest gap between deliveries
@@ -45,39 +46,38 @@ type faultOutagePoint struct {
 	AckTimeouts  uint64  `json:"ack_timeouts"`
 	AcksPosted   uint64  `json:"acks_posted"`
 	MasterAborts uint64  `json:"master_aborts"`
+	CRCRetries   uint64  `json:"crc_retries"`
 }
 
-type faultDegradePoint struct {
-	Rate        float64 `json:"error_rate"`
-	Delivered   int     `json:"delivered"`
-	GoodputMBps float64 `json:"goodput_mb_per_s"`
-	CRCRetries  uint64  `json:"crc_retries"`
+// faultsSummary records the sweep parameters shared by every point.
+type faultsSummary struct {
+	MsgBytes     int     `json:"msg_bytes"`
+	WindowNs     float64 `json:"window_ns"`
+	AckTimeoutNs float64 `json:"ack_timeout_ns"`
 }
 
-type faultsReport struct {
-	Meta          stats.BenchMeta     `json:"meta"`
-	MsgBytes      int                 `json:"msg_bytes"`
-	WindowNs      float64             `json:"window_ns"`
-	AckTimeoutNs  float64             `json:"ack_timeout_ns"`
-	OutageSweep   []faultOutagePoint  `json:"outage_sweep"`
-	DegradeSweeps []faultDegradePoint `json:"degrade_sweep"`
-}
-
-// faultStream drives an unbounded chained send stream for the measure
-// window and returns the deliveries observed plus the longest stall.
-func faultStream(c *tccluster.Cluster, s *tccluster.Sender, r *tccluster.Receiver) (delivered int, maxStall tccluster.Time) {
-	lastAt := c.Now()
+// faultRun drives an unbounded chained send stream over a node 0 -> 1
+// channel for the measure window on a two-node chain built with opts.
+// Its checksum digests every delivery time; its detail is the point.
+func faultRun(p faultPoint, par tccluster.MsgParams, opts ...tccluster.Option) cell {
+	c := chain(2, 0, opts...)
+	defer c.Close()
+	s, r, err := c.OpenChannel(0, 1, par)
+	check(err)
+	start := c.Now()
+	lastAt := start
+	var maxStall tccluster.Time
+	sum := uint64(fnvBasis)
 	var serve func()
 	serve = func() {
 		r.Recv(func(_ []byte, err error) {
 			if err != nil {
 				return
 			}
-			if gap := c.Now() - lastAt; gap > maxStall {
-				maxStall = gap
-			}
+			maxStall = max(maxStall, c.Now()-lastAt)
 			lastAt = c.Now()
-			delivered++
+			sum = fnvAdd(sum, uint64(lastAt))
+			p.Delivered++
 			serve()
 		})
 	}
@@ -91,65 +91,19 @@ func faultStream(c *tccluster.Cluster, s *tccluster.Sender, r *tccluster.Receive
 			send()
 		})
 	}
-	send()
-	c.RunFor(faultMeasureWindow)
-	r.Stop()
-	return delivered, maxStall
-}
-
-func faultOutageRun(outage tccluster.Time) faultOutagePoint {
-	topo, err := tccluster.Chain(2)
-	check(err)
-	var opts []tccluster.Option
-	if outage > 0 {
-		opts = append(opts, tccluster.WithFaults(
-			tccluster.LinkDownFor(0, faultOutageLeadIn, outage)))
-	}
-	c, err := tccluster.New(topo, tccluster.DefaultConfig(), opts...)
-	check(err)
-	par := tccluster.DefaultMsgParams()
-	par.Reliable = true
-	par.AckTimeout = faultAckTimeout
-	s, r, err := c.OpenChannel(0, 1, par)
-	check(err)
-	start := c.Now()
-	delivered, maxStall := faultStream(c, s, r)
-	elapsed := (c.Now() - start).Seconds()
+	m := measureCluster(c, func() {
+		send()
+		c.RunFor(faultMeasureWindow)
+		r.Stop()
+	})
+	m.Checksum = sum
 	st := s.Stats()
-	return faultOutagePoint{
-		OutageUs:     outage.Micros(),
-		Delivered:    delivered,
-		GoodputMBps:  float64(delivered*faultMsgBytes) / elapsed / 1e6,
-		MaxStallUs:   maxStall.Micros(),
-		Retransmits:  st.Retransmits,
-		AckTimeouts:  st.AckTimeouts,
-		AcksPosted:   r.Stats().AcksPosted,
-		MasterAborts: sumCounter(c, "nb.master_aborts"),
-	}
-}
-
-func faultDegradeRun(rate float64) faultDegradePoint {
-	topo, err := tccluster.Chain(2)
-	check(err)
-	var opts []tccluster.Option
-	if rate > 0 {
-		// Degrade from (clamped) boot through the whole window.
-		opts = append(opts, tccluster.WithFaults(
-			tccluster.LinkDegrade(0, tccluster.Microsecond, 20*tccluster.Millisecond, rate)))
-	}
-	c, err := tccluster.New(topo, tccluster.DefaultConfig(), opts...)
-	check(err)
-	s, r, err := c.OpenChannel(0, 1, tccluster.DefaultMsgParams())
-	check(err)
-	start := c.Now()
-	delivered, _ := faultStream(c, s, r)
-	elapsed := (c.Now() - start).Seconds()
-	return faultDegradePoint{
-		Rate:        rate,
-		Delivered:   delivered,
-		GoodputMBps: float64(delivered*faultMsgBytes) / elapsed / 1e6,
-		CRCRetries:  sumCounter(c, "port.retries"),
-	}
+	p.GoodputMBps = float64(p.Delivered*faultMsgBytes) / (c.Now() - start).Seconds() / 1e6
+	p.MaxStallUs = maxStall.Micros()
+	p.Retransmits, p.AckTimeouts, p.AcksPosted = st.Retransmits, st.AckTimeouts, r.Stats().AcksPosted
+	p.MasterAborts, p.CRCRetries = sumCounter(c, "nb.master_aborts"), sumCounter(c, "port.retries")
+	m.Detail = p
+	return m
 }
 
 // sumCounter totals every metrics counter with the given name.
@@ -163,62 +117,47 @@ func sumCounter(c *tccluster.Cluster, name string) uint64 {
 	return total
 }
 
-func runFaultsBench(out string) {
-	report := faultsReport{
-		Meta:         stats.NewBenchMeta(),
-		MsgBytes:     faultMsgBytes,
-		WindowNs:     faultMeasureWindow.Nanos(),
-		AckTimeoutNs: faultAckTimeout.Nanos(),
+func runFaultsBench(int) (report, error) {
+	rep := report{
+		Meta: stats.NewBenchMeta(),
+		Summary: faultsSummary{
+			MsgBytes:     faultMsgBytes,
+			WindowNs:     faultMeasureWindow.Nanos(),
+			AckTimeoutNs: faultAckTimeout.Nanos(),
+		},
 	}
-
-	for _, outage := range []tccluster.Time{
-		0,
-		50 * tccluster.Microsecond,
-		100 * tccluster.Microsecond,
-		200 * tccluster.Microsecond,
-		400 * tccluster.Microsecond,
-		800 * tccluster.Microsecond,
-	} {
-		report.OutageSweep = append(report.OutageSweep, faultOutageRun(outage))
+	t := &stats.Table{
+		Title:   "tccbench faults: goodput vs cable outage (reliable channel) and injected CRC error rate (raw protocol), virtual time",
+		Columns: []string{"point", "delivered", "goodput MB/s", "max stall us", "retransmits", "ack timeouts", "crc retries"},
+	}
+	add := func(name string, p faultPoint, par tccluster.MsgParams, opts ...tccluster.Option) {
+		c := faultRun(p, par, opts...)
+		c.Name = name
+		p = c.Detail.(faultPoint)
+		t.AddRow(name, fmt.Sprint(p.Delivered), fmt.Sprintf("%.1f", p.GoodputMBps), fmt.Sprintf("%.1f", p.MaxStallUs),
+			fmt.Sprint(p.Retransmits), fmt.Sprint(p.AckTimeouts), fmt.Sprint(p.CRCRetries))
+		rep.Cells = append(rep.Cells, c)
+	}
+	reliable := tccluster.DefaultMsgParams()
+	reliable.Reliable = true
+	reliable.AckTimeout = faultAckTimeout
+	for _, outage := range []tccluster.Time{0, 50, 100, 200, 400, 800} {
+		outage *= tccluster.Microsecond
+		var opts []tccluster.Option
+		if outage > 0 {
+			opts = append(opts, tccluster.WithFaults(tccluster.LinkDownFor(0, faultOutageLeadIn, outage)))
+		}
+		add(fmt.Sprintf("outage-%.0fus", outage.Micros()), faultPoint{OutageUs: outage.Micros()}, reliable, opts...)
 	}
 	for _, rate := range []float64{0, 0.05, 0.1, 0.2, 0.4} {
-		report.DegradeSweeps = append(report.DegradeSweeps, faultDegradeRun(rate))
+		var opts []tccluster.Option
+		if rate > 0 {
+			// Degrade from (clamped) boot through the whole window.
+			opts = append(opts, tccluster.WithFaults(
+				tccluster.LinkDegrade(0, tccluster.Microsecond, 20*tccluster.Millisecond, rate)))
+		}
+		add(fmt.Sprintf("degrade-%.2f", rate), faultPoint{Rate: rate}, tccluster.DefaultMsgParams(), opts...)
 	}
-
-	ot := &stats.Table{
-		Title:   "tccbench faults: reliable-channel goodput vs cable outage (virtual time)",
-		Columns: []string{"outage us", "delivered", "goodput MB/s", "max stall us", "retransmits", "ack timeouts"},
-	}
-	for _, p := range report.OutageSweep {
-		ot.AddRow(
-			fmt.Sprintf("%.0f", p.OutageUs),
-			fmt.Sprintf("%d", p.Delivered),
-			fmt.Sprintf("%.1f", p.GoodputMBps),
-			fmt.Sprintf("%.1f", p.MaxStallUs),
-			fmt.Sprintf("%d", p.Retransmits),
-			fmt.Sprintf("%d", p.AckTimeouts))
-	}
-	ot.Render(os.Stdout)
-	fmt.Println()
-
-	dt := &stats.Table{
-		Title:   "tccbench faults: raw-protocol goodput vs injected CRC error rate",
-		Columns: []string{"error rate", "delivered", "goodput MB/s", "crc retries"},
-	}
-	for _, p := range report.DegradeSweeps {
-		dt.AddRow(
-			fmt.Sprintf("%.2f", p.Rate),
-			fmt.Sprintf("%d", p.Delivered),
-			fmt.Sprintf("%.1f", p.GoodputMBps),
-			fmt.Sprintf("%d", p.CRCRetries))
-	}
-	dt.Render(os.Stdout)
-
-	if out != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		check(err)
-		check(os.WriteFile(out, append(data, '\n'), 0o644))
-		fmt.Printf("\nwrote %s (commit %s, %s)\n",
-			out, report.Meta.Commit, time.Now().Format(time.RFC3339))
-	}
+	t.Render(os.Stdout)
+	return rep, nil
 }

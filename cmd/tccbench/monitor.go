@@ -1,17 +1,3 @@
-package main
-
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-	"sort"
-	"time"
-
-	tccluster "repro"
-	"repro/internal/stats"
-)
-
 // The monitor benchmark quantifies what live monitoring costs on top of
 // tracing: the same ping-pong workload runs with tracing off, with a
 // Collector installed, and with the Collector plus the full monitor
@@ -19,112 +5,90 @@ import (
 // contract tracked in BENCH_monitor.json is that monitoring stays
 // within a few percent of tracer-only — observability must be cheap
 // enough to leave on.
+package main
 
-type monitorBench struct {
-	Meta              stats.BenchMeta `json:"meta"`
-	Rounds            int             `json:"rounds"`
-	Trials            int             `json:"trials"`
-	BaselineNsPerOp   float64         `json:"baseline_ns_per_op"`
-	TracerNsPerOp     float64         `json:"tracer_ns_per_op"`
-	MonitorNsPerOp    float64         `json:"monitor_ns_per_op"`
-	TracerOverheadPct float64         `json:"tracer_overhead_pct_vs_baseline"`
-	MonitorPct        float64         `json:"monitor_overhead_pct_vs_tracer"`
+import (
+	"fmt"
+
+	tccluster "repro"
+	"repro/internal/stats"
+)
+
+type monitorSummary struct {
+	Rounds            int     `json:"rounds"`
+	Trials            int     `json:"trials"`
+	BaselineNsPerOp   float64 `json:"baseline_ns_per_op"`
+	TracerNsPerOp     float64 `json:"tracer_ns_per_op"`
+	MonitorNsPerOp    float64 `json:"monitor_ns_per_op"`
+	TracerOverheadPct float64 `json:"tracer_overhead_pct_vs_baseline"`
+	MonitorPct        float64 `json:"monitor_overhead_pct_vs_tracer"`
 }
 
 // pingPongRounds drives rounds of 64-byte ping-pong on a fresh 2-node
-// cluster built with opts and returns wall ns per round (sim execution
-// cost, not modeled latency).
-func pingPongRounds(rounds int, opts ...tccluster.Option) float64 {
-	topo, err := tccluster.Chain(2)
-	check(err)
-	c, err := tccluster.New(topo, tccluster.DefaultConfig(), opts...)
-	check(err)
+// cluster built with opts, one round at a time: each round arms one
+// echo, sends, and runs the cluster to quiescence, so no receiver polls
+// between rounds. The cell's checksum digests the round-trip times.
+func pingPongRounds(rounds int, opts ...tccluster.Option) cell {
+	c := chain(2, 0, opts...)
 	defer c.Close()
-	sAB, rAB, err := c.OpenChannel(0, 1, tccluster.DefaultMsgParams())
-	check(err)
-	sBA, rBA, err := c.OpenChannel(1, 0, tccluster.DefaultMsgParams())
-	check(err)
+	p := openPingpong(c, 0, 1, tccluster.DefaultMsgParams())
 	payload := make([]byte, 64)
-	start := time.Now()
-	for i := 0; i < rounds; i++ {
-		done := false
-		rAB.Recv(func(d []byte, err error) {
-			if err != nil {
-				return
+	sum := uint64(fnvBasis)
+	// measure, not measureCluster: no collection between boot and the
+	// first round, so the overhead ratios stay comparable with earlier
+	// BENCH_monitor.json files.
+	m := measure(c.EventsFired, c.Now, func() {
+		for i := 0; i < rounds; i++ {
+			sent, done := c.Now(), false
+			p.rAB.Recv(func(d []byte, err error) {
+				if err != nil {
+					return
+				}
+				p.rBA.Recv(func(_ []byte, err error) {
+					done = err == nil
+					sum = fnvAdd(sum, uint64(c.Now()-sent))
+				})
+				p.sBA.Send(d, func(error) {})
+			})
+			p.sAB.Send(payload, func(error) {})
+			c.Run()
+			if !done {
+				check(fmt.Errorf("monitor bench: ping-pong round %d lost", i))
 			}
-			rBA.Recv(func(_ []byte, err error) { done = err == nil })
-			sBA.Send(d, func(error) {})
-		})
-		sAB.Send(payload, func(error) {})
-		c.Run()
-		if !done {
-			check(fmt.Errorf("monitor bench: ping-pong round %d lost", i))
 		}
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(rounds)
+	})
+	m.CountersDigest, m.Checksum = countersDigest(c), sum
+	return m
 }
 
-// median returns the middle value of vs (mean of the middle pair for
-// even lengths). vs is sorted in place.
-func median(vs []float64) float64 {
-	sort.Float64s(vs)
-	n := len(vs)
-	if n%2 == 1 {
-		return vs[n/2]
-	}
-	return (vs[n/2-1] + vs[n/2]) / 2
-}
-
-func runMonitorBench(out string) {
-	const rounds = 2000
-	const trials = 7
-	// Interleave the three configurations within each trial and compare
-	// them pairwise per trial: machine load drifts on a timescale longer
-	// than one trial triple, so per-trial ratios cancel drift that a
-	// sequential best-of-N comparison would misreport as overhead. The
-	// median ratio across trials then discards outlier triples.
+func runMonitorBench(int) (report, error) {
+	const rounds, n = 2000, 7
+	// Each configuration adds to the one before: the tracer, then the
+	// monitor stack. Ratios are taken per trial and the median kept,
+	// which discards outlier trials.
+	// Each configuration's options, Collector included, are built once
+	// and reused by every trial.
+	t := newTrials("pingpong-64B", "pingpong-64B+tracer", "pingpong-64B+monitor")
 	configs := [][]tccluster.Option{
 		nil,
 		{tccluster.WithTracer(tccluster.NewCollector(1 << 14))},
 		{tccluster.WithTracer(tccluster.NewCollector(1 << 14)),
 			tccluster.WithMonitor("127.0.0.1:0")},
 	}
-	bests := make([]float64, len(configs))
-	tracerRatios := make([]float64, 0, trials)
-	monitorRatios := make([]float64, 0, trials)
-	for t := 0; t < trials; t++ {
-		var times [3]float64
-		for i, opts := range configs {
-			// Collect before timing so one configuration's garbage is not
-			// billed to the next one's measurement.
-			runtime.GC()
-			times[i] = pingPongRounds(rounds, opts...)
-			if t == 0 || times[i] < bests[i] {
-				bests[i] = times[i]
-			}
-		}
-		tracerRatios = append(tracerRatios, times[1]/times[0])
-		monitorRatios = append(monitorRatios, times[2]/times[1])
-	}
-
-	res := monitorBench{
-		Meta:              stats.NewBenchMeta(),
+	t.run(n, func(i int) (float64, cell) {
+		m := pingPongRounds(rounds, configs[i]...)
+		return m.WallSeconds * 1e9 / rounds, m
+	})
+	sum := monitorSummary{
 		Rounds:            rounds,
-		Trials:            trials,
-		BaselineNsPerOp:   bests[0],
-		TracerNsPerOp:     bests[1],
-		MonitorNsPerOp:    bests[2],
-		TracerOverheadPct: 100 * (median(tracerRatios) - 1),
-		MonitorPct:        100 * (median(monitorRatios) - 1),
+		Trials:            n,
+		BaselineNsPerOp:   t.best[0],
+		TracerNsPerOp:     t.best[1],
+		MonitorNsPerOp:    t.best[2],
+		TracerOverheadPct: t.medianPct(1),
+		MonitorPct:        t.medianPct(2),
 	}
-	enc, err := json.MarshalIndent(res, "", "  ")
-	check(err)
-	enc = append(enc, '\n')
-	if out == "" {
-		os.Stdout.Write(enc)
-		return
-	}
-	check(os.WriteFile(out, enc, 0o644))
-	fmt.Printf("monitor bench: baseline %.0f ns/op, tracer %+.1f%%, monitor %+.1f%% vs tracer -> %s\n",
-		res.BaselineNsPerOp, res.TracerOverheadPct, res.MonitorPct, out)
+	fmt.Printf("monitor bench: baseline %.0f ns/op, tracer %+.1f%%, monitor %+.1f%% vs tracer\n",
+		sum.BaselineNsPerOp, sum.TracerOverheadPct, sum.MonitorPct)
+	return report{Meta: stats.NewBenchMeta(), Cells: t.cells, Summary: sum}, nil
 }

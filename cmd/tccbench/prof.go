@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
 	"runtime/debug"
 	"syscall"
 	"testing"
@@ -18,25 +15,24 @@ import (
 	"repro/internal/stats"
 )
 
-// The prof benchmark enforces the profiler's cost contract from ISSUE 7:
-// enabled profiling stays within profGateMaxPct of a tracer-only
-// baseline on a chain16 allreduce (the paper-budget workload), and the
-// steady-state link send path allocates nothing when profiling is
-// disabled — the nil-check guard must stay free. BENCH_prof.json
-// records both, and the benchmark exits nonzero when either gate fails
-// so CI can run it directly.
+// The prof benchmark enforces the profiler's cost contract: enabled
+// profiling stays within profGateMaxPct of a tracer-only baseline on a
+// chain16 allreduce (the paper-budget workload), and the steady-state
+// link send path allocates nothing when profiling is disabled — the
+// nil-check guard must stay free. BENCH_prof.json records both, and the
+// benchmark exits nonzero when either gate fails so CI can run it
+// directly.
 
 // profGateMaxPct is the overhead ceiling: profiled vs. tracer-only.
 const profGateMaxPct = 5.0
 
-type profBench struct {
-	Meta            stats.BenchMeta `json:"meta"`
-	Nodes           int             `json:"nodes"`
-	Rounds          int             `json:"rounds"`
-	Trials          int             `json:"trials"`
-	TracerNsPerOp   float64         `json:"tracer_ns_per_round"`
-	ProfiledNsPerOp float64         `json:"profiled_ns_per_round"`
-	SpansNsPerOp    float64         `json:"spans_ns_per_round"`
+type profSummary struct {
+	Nodes           int     `json:"nodes"`
+	Rounds          int     `json:"rounds"`
+	Trials          int     `json:"trials"`
+	TracerNsPerOp   float64 `json:"tracer_ns_per_round"`
+	ProfiledNsPerOp float64 `json:"profiled_ns_per_round"`
+	SpansNsPerOp    float64 `json:"spans_ns_per_round"`
 	// ProfiledPct compares the best (fastest) trial of each
 	// configuration: external interference on a shared machine only
 	// ever adds time, so best-of-N converges on the intrinsic cost
@@ -69,50 +65,58 @@ func cpuNS() float64 {
 }
 
 // allreduceRounds builds a fresh chain cluster with opts and drives
-// rounds of a 64-double allreduce across every rank, returning the
-// fastest single round in CPU ns (sim execution cost, not modeled
-// latency). Every round executes an identical, deterministic event
-// stream, so the per-round minimum is a clean estimator of the
-// interference-free floor — timing the whole batch instead yields one
-// sample that any neighbor-induced cache-thrash epoch inflates
-// wholesale. Boot and firmware training stay outside the timed region,
+// rounds of a 64-double allreduce of one shared all-zero vector across
+// every rank, returning the fastest single round in CPU ns (sim
+// execution cost, not modeled latency) and the cell of the whole run,
+// whose checksum digests every reduced vector. Every round executes an
+// identical, deterministic event stream, so the per-round minimum is a
+// clean estimator of the interference-free floor — timing the whole
+// batch instead yields one sample that any neighbor-induced
+// cache-thrash epoch inflates wholesale. Boot and firmware training stay outside the timed region,
 // matching where the profiler itself attaches.
-func allreduceRounds(nodes, rounds int, opts ...tccluster.Option) float64 {
-	topo, err := tccluster.Chain(nodes)
-	check(err)
-	c, err := tccluster.New(topo, tccluster.DefaultConfig(), opts...)
-	check(err)
+func allreduceRounds(nodes, rounds int, opts ...tccluster.Option) (float64, cell) {
+	c := chain(nodes, 0, opts...)
 	defer c.Close()
 	w, err := c.NewWorld(tccluster.DefaultMPIConfig())
 	check(err)
 	vec := make([]float64, 64)
-	// GC pauses inside a timed round are the dominant self-inflicted
-	// noise source on a small container — collect up front, then hold
-	// the collector off until the measurement ends.
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// Two untimed rounds warm channel buffers, record pools and branch
-	// predictors so the timed rounds measure steady state for every
-	// configuration.
+	sum := uint64(fnvBasis)
 	best := math.Inf(1)
-	for i := 0; i < 2+rounds; i++ {
-		t0 := cpuNS()
-		pending := nodes
-		for r := 0; r < nodes; r++ {
-			w.Rank(r).Allreduce(vec, tccluster.Sum, func(_ []float64, err error) {
-				check(err)
-				pending--
-			})
+	m := measureCluster(c, func() {
+		// GC pauses inside a timed round are the dominant self-inflicted
+		// noise source on a small container: measureCluster collects up
+		// front, and the collector stays off until the measurement ends.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		// Two untimed rounds warm channel buffers, record pools and
+		// branch predictors so the timed rounds measure steady state for
+		// every configuration.
+		results := make([][]float64, nodes)
+		for i := 0; i < 2+rounds; i++ {
+			t0 := cpuNS()
+			pending := nodes
+			for r := 0; r < nodes; r++ {
+				w.Rank(r).Allreduce(vec, tccluster.Sum, func(res []float64, err error) {
+					check(err)
+					results[r] = res
+					pending--
+				})
+			}
+			c.Run()
+			if d := cpuNS() - t0; i >= 2 && d < best {
+				best = d
+			}
+			if pending != 0 {
+				check(fmt.Errorf("prof bench: allreduce round %d incomplete", i))
+			}
+			for _, res := range results {
+				for _, v := range res {
+					sum = fnvAdd(sum, math.Float64bits(v))
+				}
+			}
 		}
-		c.Run()
-		if pending != 0 {
-			check(fmt.Errorf("prof bench: allreduce round %d incomplete", i))
-		}
-		if d := cpuNS() - t0; i >= 2 && d < best {
-			best = d
-		}
-	}
-	return best
+	})
+	m.Checksum = sum
+	return best, m
 }
 
 // linkSendAllocs measures allocations per steady-state pooled posted
@@ -155,13 +159,12 @@ func linkSendAllocs(profiled bool) float64 {
 	return testing.AllocsPerRun(300, send)
 }
 
-func runProfBench(out string) {
-	const nodes = 16
-	const rounds = 60
-	const trials = 9
-	// Same drift-cancelling shape as the monitor benchmark: interleave
-	// the configurations within each trial, form per-trial pairwise
-	// ratios, and take the median ratio across trials.
+func runProfBench(int) (report, error) {
+	const nodes, rounds, trials = 16, 60, 9
+	// Same drift-cancelling shape as the monitor benchmark, but gated on
+	// the best (fastest) trial of each configuration.
+	// Every configuration traces; profile and spans add to the one before.
+	t := newTrials("allreduce-chain16+tracer", "allreduce-chain16+profile", "allreduce-chain16+spans")
 	configs := [][]tccluster.Option{
 		{tccluster.WithTracer(tccluster.NewCollector(1 << 14))},
 		{tccluster.WithTracer(tccluster.NewCollector(1 << 14)),
@@ -169,66 +172,43 @@ func runProfBench(out string) {
 		{tccluster.WithTracer(tccluster.NewCollector(1 << 14)),
 			tccluster.WithProfile(tccluster.ProfileSpans())},
 	}
-	bests := []float64{math.Inf(1), math.Inf(1), math.Inf(1)}
-	profRatios := make([]float64, 0, 2*trials)
-	spanRatios := make([]float64, 0, 2*trials)
-	measure := func() {
-		for t := 0; t < trials; t++ {
-			var times [3]float64
-			for i, opts := range configs {
-				runtime.GC()
-				times[i] = allreduceRounds(nodes, rounds, opts...)
-				if times[i] < bests[i] {
-					bests[i] = times[i]
-				}
-			}
-			profRatios = append(profRatios, times[1]/times[0])
-			spanRatios = append(spanRatios, times[2]/times[1])
-		}
-	}
-	measure()
-	if 100*(bests[1]/bests[0]-1) > profGateMaxPct {
+	measure := func(i int) (float64, cell) { return allreduceRounds(nodes, rounds, configs[i]...) }
+	t.run(trials, measure)
+	if t.bestPct(1) > profGateMaxPct {
 		// A neighbor-interference epoch can outlast a whole trial sweep
 		// and inflate even the per-round minima. Interference only adds
 		// time, so folding a second sweep into the same minima refines
 		// the floor estimate — it cannot manufacture a pass that the
 		// quiet-machine cost wouldn't earn.
-		measure()
+		t.run(trials, measure)
 	}
 
-	res := profBench{
-		Meta:            stats.NewBenchMeta(),
+	res := profSummary{
 		Nodes:           nodes,
 		Rounds:          rounds,
 		Trials:          trials,
-		TracerNsPerOp:   bests[0],
-		ProfiledNsPerOp: bests[1],
-		SpansNsPerOp:    bests[2],
-		ProfiledPct:     100 * (bests[1]/bests[0] - 1),
-		SpansPct:        100 * (bests[2]/bests[1] - 1),
-		MedianPct:       100 * (median(profRatios) - 1),
+		TracerNsPerOp:   t.best[0],
+		ProfiledNsPerOp: t.best[1],
+		SpansNsPerOp:    t.best[2],
+		ProfiledPct:     t.bestPct(1),
+		SpansPct:        t.bestPct(2),
+		MedianPct:       t.medianPct(1),
 		GateMaxPct:      profGateMaxPct,
 		SendAllocsOff:   linkSendAllocs(false),
 		SendAllocsOn:    linkSendAllocs(true),
 	}
-	enc, err := json.MarshalIndent(res, "", "  ")
-	check(err)
-	enc = append(enc, '\n')
-	if out == "" {
-		os.Stdout.Write(enc)
-	} else {
-		check(os.WriteFile(out, enc, 0o644))
-		fmt.Printf("prof bench: tracer %.0f ns/op, profiled %+.1f%%, spans %+.1f%% vs profiled -> %s\n",
-			res.TracerNsPerOp, res.ProfiledPct, res.SpansPct, out)
-	}
+	rep := report{Meta: stats.NewBenchMeta(), Cells: t.cells, Summary: res}
+	fmt.Printf("prof bench: tracer %.0f ns/op, profiled %+.1f%%, spans %+.1f%% vs profiled\n",
+		res.TracerNsPerOp, res.ProfiledPct, res.SpansPct)
 	if res.SendAllocsOff != 0 {
-		check(fmt.Errorf("prof bench gate: disabled-profiler link send allocated %.2f allocs/op, want 0",
-			res.SendAllocsOff))
+		return rep, fmt.Errorf("prof bench gate: disabled-profiler link send allocated %.2f allocs/op, want 0",
+			res.SendAllocsOff)
 	}
 	if res.ProfiledPct > profGateMaxPct {
-		check(fmt.Errorf("prof bench gate: profiling overhead %.1f%% exceeds %.0f%% ceiling",
-			res.ProfiledPct, profGateMaxPct))
+		return rep, fmt.Errorf("prof bench gate: profiling overhead %.1f%% exceeds %.0f%% ceiling",
+			res.ProfiledPct, profGateMaxPct)
 	}
 	fmt.Printf("prof bench gate: overhead %+.1f%% <= %.0f%%, disabled send path %.0f allocs/op\n",
 		res.ProfiledPct, profGateMaxPct, res.SendAllocsOff)
+	return rep, nil
 }

@@ -4,45 +4,26 @@
 // the full request path (consistent-hash routing, channel-mesh
 // framing, token-bucket admission, replication), and a crash cell
 // where a mid-chain NodeCrash forces timeout-driven failover while the
-// windowed goodput records the SLO dip and recovery. Emits
-// BENCH_serve.json with wall-clock throughput, latency quantiles and
-// the fault-impact numbers.
-//
-// Every cell runs serially and under WithParallel, and the benchmark
-// enforces the determinism contract: identical event counts, final
-// virtual times and merged serve reports at every worker count. The
-// crash cell sweeps 2 and 4 workers fully bit-exact; the steady cell
-// (~1.6e8 events) pins 2 workers, where the executor's one residual
-// same-timestamp arbitration edge is bounded to the latency mean — see
-// serveMeanTolerance below.
-//
-// With -baseline it additionally gates requests-per-second against a
-// committed report: any cell/worker pair whose wall-clock throughput
-// drops more than 15% below the baseline fails the run, unless the
-// current machine has fewer CPUs than the baseline machine had.
+// windowed goodput records the SLO dip and recovery. The gated metric
+// is wall-clock requests per second. Every cell runs serially and under
+// WithParallel: the crash cell at 2 and 4 workers, the steady cell at 2
+// (see serveMeanTolerance).
 package main
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"reflect"
-	"time"
+	"math"
 
 	tccluster "repro"
 	"repro/internal/stats"
 )
 
-// serveBaselineTolerance is how far requests-per-second may fall below
-// the committed baseline before the gate fails.
-const serveBaselineTolerance = 0.15
-
-type serveRun struct {
-	Workers        int     `json:"workers"` // 0 = serial reference
-	Events         uint64  `json:"events"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	ReqPerSec      float64 `json:"req_per_sec"` // wall-clock simulation rate
-	FinalVirtualNs float64 `json:"final_virtual_ns"`
+// serveDetail is a cell's merged service report (goodput windows
+// reduced to the crash impact).
+type serveDetail struct {
+	tccluster.ServeReport
+	Fault *serveFaultImpact `json:"fault,omitempty"`
 }
 
 // serveFaultImpact quantifies what the NodeCrash did to the service,
@@ -57,60 +38,6 @@ type serveFaultImpact struct {
 	Failovers       uint64  `json:"failovers"`
 	DeadMarks       uint64  `json:"dead_marks"`
 	UnroutableAfter uint64  `json:"unroutable"`
-}
-
-type serveCell struct {
-	Name            string            `json:"name"`
-	Nodes           int               `json:"nodes"`
-	RequestsPerNode int               `json:"requests_per_node"`
-	Policy          string            `json:"policy"`
-	Requests        uint64            `json:"requests"`
-	Completed       uint64            `json:"completed"`
-	GoodputPct      float64           `json:"goodput_pct"`
-	P50Us           float64           `json:"p50_us"`
-	P99Us           float64           `json:"p99_us"`
-	P999Us          float64           `json:"p999_us"`
-	Checksum        uint64            `json:"checksum"`
-	Fault           *serveFaultImpact `json:"fault,omitempty"`
-	Runs            []serveRun        `json:"runs"`
-}
-
-type serveReport struct {
-	Meta  stats.BenchMeta `json:"meta"`
-	Cells []serveCell     `json:"cells"`
-}
-
-// runServeCell boots a chain cluster, deploys the service, drives it
-// to completion and returns the merged report plus the measured run.
-func runServeCell(nodes, workers int, cfg tccluster.ServeConfig, actions ...tccluster.FaultAction) (tccluster.ServeReport, serveRun) {
-	topo, err := tccluster.Chain(nodes)
-	check(err)
-	opts := parallelOpts(workers)
-	if len(actions) > 0 {
-		opts = append(opts, tccluster.WithFaults(actions...))
-	}
-	c, err := tccluster.New(topo, tccluster.DefaultConfig(), opts...)
-	check(err)
-	svc, err := c.NewService(cfg)
-	check(err)
-	startFired := c.EventsFired()
-	t0 := time.Now()
-	svc.Start()
-	c.Run()
-	svc.Stop()
-	c.Run()
-	wall := time.Since(t0).Seconds()
-	rep := svc.Report()
-	run := serveRun{
-		Workers:        workers,
-		Events:         c.EventsFired() - startFired,
-		WallSeconds:    wall,
-		FinalVirtualNs: c.Now().Nanos(),
-	}
-	if wall > 0 {
-		run.ReqPerSec = float64(rep.Requests) / wall
-	}
-	return rep, run
 }
 
 // serveMeanTolerance bounds the one field the serial-vs-parallel
@@ -128,179 +55,91 @@ func runServeCell(nodes, workers int, cfg tccluster.ServeConfig, actions ...tccl
 // identical), so the full-scale steady cell pins 2 workers and the
 // 4-worker sweep runs on the crash cell, whose scale keeps every
 // worker count fully bit-exact. See the "parallel determinism" notes
-// in ROADMAP.md. Everything else in the report must still be
-// bit-identical, and runs at the SAME worker count must be fully
-// bit-identical including the mean.
+// in ROADMAP.md.
 const serveMeanTolerance = 1e-6 // relative
 
-// serveReportsMatch compares two merged reports under the determinism
-// contract above: bit-exact except MeanPS, which may differ by at most
-// serveMeanTolerance relative.
-func serveReportsMatch(a, b tccluster.ServeReport) bool {
-	if a.MeanPS != b.MeanPS {
-		diff := a.MeanPS - b.MeanPS
-		if diff < 0 {
-			diff = -diff
-		}
-		if a.MeanPS == 0 || diff/a.MeanPS > serveMeanTolerance {
-			return false
-		}
-		b.MeanPS = a.MeanPS
+// serveSweep runs one chain16 service cell through sweep and returns
+// the cells plus the serial run's merged report. The report, but for
+// its latency mean, digests into the cell checksum, so every counter,
+// quantile, window and response checksum must be bit-identical on every
+// attempt and at every worker count. The mean must be bit-identical
+// across attempts at one worker count and within serveMeanTolerance of
+// the serial mean at the others. crash, when non-nil, injects a
+// NodeCrash and records its impact.
+func serveSweep(name string, workers []int, repeat int, cfg tccluster.ServeConfig, crash *serveFaultImpact) ([]cell, tccluster.ServeReport) {
+	const nodes = 16
+	var opts []tccluster.Option
+	if crash != nil {
+		opts = append(opts, tccluster.WithFaults(
+			tccluster.NodeCrash(crash.CrashNode, tccluster.Time(crash.CrashAtNS)*tccluster.Nanosecond)))
 	}
-	return reflect.DeepEqual(a, b)
-}
-
-// benchServeCell runs one cell serially and at each worker count (best
-// wall time of repeat attempts each) and enforces that the merged
-// report — every counter, quantile, window and the checksum — is
-// bit-identical at every worker count and on every attempt.
-func benchServeCell(name string, nodes int, workers []int, repeat int, cfg tccluster.ServeConfig, actions ...tccluster.FaultAction) (serveCell, tccluster.ServeReport) {
-	if repeat < 1 {
-		repeat = 1
-	}
-	var ref tccluster.ServeReport
-	best := func(wk int) serveRun {
-		rep, run := runServeCell(nodes, wk, cfg, actions...)
-		for i := 1; i < repeat; i++ {
-			again, r2 := runServeCell(nodes, wk, cfg, actions...)
-			if !reflect.DeepEqual(again, rep) || r2.Events != run.Events {
-				check(fmt.Errorf("serve bench: %s not reproducible at %d workers", name, wk))
-			}
-			if r2.WallSeconds < run.WallSeconds {
-				run = r2
-			}
+	var serial tccluster.ServeReport
+	means := map[int]float64{}
+	cells := sweep(name, workers, repeat, func(w int) cell {
+		c := chain(nodes, w, opts...)
+		defer c.Close()
+		svc, err := c.NewService(cfg)
+		check(err)
+		m := measureCluster(c, func() {
+			svc.Start()
+			c.Run()
+			svc.Stop()
+			c.Run()
+		})
+		rep := svc.Report()
+		if mean, seen := means[w]; seen && mean != rep.MeanPS {
+			check(fmt.Errorf("%s latency mean not reproducible at %d workers", name, w))
 		}
-		if wk == 0 {
-			ref = rep
-		} else if !serveReportsMatch(ref, rep) {
-			check(fmt.Errorf("serve bench: %s report diverged at %d workers", name, wk))
+		means[w] = rep.MeanPS
+		if w == 0 {
+			serial = rep
+		} else if d := math.Abs(rep.MeanPS - serial.MeanPS); d != 0 && (serial.MeanPS == 0 || d/serial.MeanPS > serveMeanTolerance) {
+			check(fmt.Errorf("%s latency mean diverged at %d workers: %g ps vs serial %g ps", name, w, rep.MeanPS, serial.MeanPS))
 		}
-		return run
-	}
-	cell := serveCell{
-		Name:            name,
-		Nodes:           nodes,
-		RequestsPerNode: cfg.RequestsPerNode,
-		Policy:          string(cfg.Policy),
-	}
-	serial := best(0)
-	cell.Runs = append(cell.Runs, serial)
-	for _, wk := range workers {
-		run := best(wk)
-		if run.Events != serial.Events || run.FinalVirtualNs != serial.FinalVirtualNs {
-			check(fmt.Errorf("serve bench: %s diverged at %d workers: %d events / %.0f ns vs serial %d events / %.0f ns",
-				name, run.Workers, run.Events, run.FinalVirtualNs, serial.Events, serial.FinalVirtualNs))
+		detail := serveDetail{ServeReport: rep}
+		detail.Windows = nil
+		if crash != nil {
+			detail.Fault = serveImpact(rep, crash.CrashNode, crash.CrashAtNS)
 		}
-		cell.Runs = append(cell.Runs, run)
-	}
-	cell.Requests = ref.Requests
-	cell.Completed = ref.Completed
-	cell.GoodputPct = ref.GoodputPct
-	cell.P50Us = ref.P50PS / 1e6
-	cell.P99Us = ref.P99PS / 1e6
-	cell.P999Us = ref.P999PS / 1e6
-	cell.Checksum = ref.Checksum
-	return cell, ref
+		m.Detail = detail
+		rep.MeanPS = 0
+		data, err := json.Marshal(rep)
+		check(err)
+		m.Checksum = fnvBytes(fnvBasis, data)
+		m.Gated, m.GatedUnit = float64(rep.Requests)/m.WallSeconds, "req/s"
+		return m
+	})
+	return cells, serial
 }
 
 // serveImpact reduces the goodput windows to the crash story: steady
 // goodput before the crash, the worst window at or after it, and the
 // aggregate afterwards — the measured SLO cost of losing one replica.
 func serveImpact(rep tccluster.ServeReport, node int, at int64) *serveFaultImpact {
-	imp := &serveFaultImpact{
-		CrashNode: node,
-		CrashAtNS: at,
-		Timeouts:  rep.Timeouts,
-		Failovers: rep.Failovers,
-		DeadMarks: rep.DeadMarks,
-	}
-	imp.UnroutableAfter = rep.Unroutable
+	imp := &serveFaultImpact{CrashNode: node, CrashAtNS: at, Timeouts: rep.Timeouts,
+		Failovers: rep.Failovers, DeadMarks: rep.DeadMarks, UnroutableAfter: rep.Unroutable}
+	pct := func(in, offered uint64) float64 { return 100 * float64(in) / float64(max(offered, 1)) }
 	crashWin := at * 1000 / rep.WindowPS // ns -> ps -> window index
 	var preOff, preIn, postOff, postIn uint64
 	dip := -1.0
 	for i, w := range rep.Windows {
-		if w.Offered == 0 {
-			continue
-		}
-		if int64(i) < crashWin {
-			preOff += w.Offered
-			preIn += w.InSLO
-			continue
-		}
-		postOff += w.Offered
-		postIn += w.InSLO
-		if g := 100 * float64(w.InSLO) / float64(w.Offered); dip < 0 || g < dip {
-			dip = g
+		switch {
+		case w.Offered == 0:
+		case int64(i) < crashWin:
+			preOff, preIn = preOff+w.Offered, preIn+w.InSLO
+		default:
+			postOff, postIn = postOff+w.Offered, postIn+w.InSLO
+			if g := pct(w.InSLO, w.Offered); dip < 0 || g < dip {
+				dip = g
+			}
 		}
 	}
-	if preOff > 0 {
-		imp.PreGoodputPct = 100 * float64(preIn) / float64(preOff)
-	}
-	if postOff > 0 {
-		imp.PostGoodputPct = 100 * float64(postIn) / float64(postOff)
-	}
-	if dip >= 0 {
-		imp.DipGoodputPct = dip
-	}
+	imp.PreGoodputPct, imp.PostGoodputPct, imp.DipGoodputPct = pct(preIn, preOff), pct(postIn, postOff), max(dip, 0)
 	return imp
 }
 
-// checkServeBaseline fails when any cell/worker pair's wall-clock
-// requests-per-second drops more than the tolerance below the
-// committed baseline. Skipped when the current machine has fewer CPUs
-// than the baseline machine, mirroring checkParallelBaseline.
-func checkServeBaseline(rep serveReport, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("serve baseline: %w", err)
-	}
-	var base serveReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("serve baseline %s: %w", path, err)
-	}
-	if rep.Meta.NumCPU < base.Meta.NumCPU {
-		fmt.Printf("serve baseline: gate skipped (this machine has %d CPUs, baseline had %d)\n",
-			rep.Meta.NumCPU, base.Meta.NumCPU)
-		return nil
-	}
-	cur := map[string]map[int]float64{}
-	for _, c := range rep.Cells {
-		cur[c.Name] = map[int]float64{}
-		for _, r := range c.Runs {
-			cur[c.Name][r.Workers] = r.ReqPerSec
-		}
-	}
-	for _, c := range base.Cells {
-		got, ok := cur[c.Name]
-		if !ok {
-			return fmt.Errorf("serve baseline: cell %s missing from this run", c.Name)
-		}
-		for _, r := range c.Runs {
-			if r.ReqPerSec <= 0 {
-				continue
-			}
-			s, ok := got[r.Workers]
-			if !ok {
-				return fmt.Errorf("serve baseline: %s at %d workers missing from this run", c.Name, r.Workers)
-			}
-			floor := r.ReqPerSec * (1 - serveBaselineTolerance)
-			if s < floor {
-				return fmt.Errorf("serve baseline: %s at %d workers regressed: %.0f req/s below %.0f (baseline %.0f - %d%%)",
-					c.Name, r.Workers, s, floor, r.ReqPerSec, int(serveBaselineTolerance*100))
-			}
-		}
-	}
-	fmt.Printf("serve baseline: no cell regressed more than %d%% vs %s\n",
-		int(serveBaselineTolerance*100), path)
-	return nil
-}
-
-func runServeBench(out, baseline string, repeat int) {
-	if out == "" {
-		out = "BENCH_serve.json"
-	}
-	const nodes = 16
-	rep := serveReport{Meta: stats.NewBenchMeta()}
+func runServeBench(repeat int) (report, error) {
+	rep := report{Meta: stats.NewBenchMeta()}
 
 	// Steady state: 65k requests per node x 16 nodes = 1.04M simulated
 	// requests through the full routing/framing/replication path.
@@ -310,62 +149,45 @@ func runServeBench(out, baseline string, repeat int) {
 	steady.RequestsPerNode = 65000
 	steady.Keyspace = 1 << 16
 	steady.Seed = 29
-	cell, report := benchServeCell("steady-chain16", nodes, []int{2}, repeat, steady)
-	if report.Requests < 1_000_000 {
-		check(fmt.Errorf("serve bench: steady cell simulated only %d requests (want >= 1M)", report.Requests))
+	cells, sr := serveSweep("steady-chain16", []int{2}, repeat, steady, nil)
+	if sr.Requests < 1_000_000 {
+		check(fmt.Errorf("serve bench: steady cell simulated only %d requests (want >= 1M)", sr.Requests))
 	}
-	if report.Timeouts != 0 || report.Bad != 0 {
-		check(fmt.Errorf("serve bench: healthy cell lost requests: %d timeouts, %d bad", report.Timeouts, report.Bad))
+	if sr.Timeouts != 0 || sr.Bad != 0 {
+		check(fmt.Errorf("serve bench: healthy cell lost requests: %d timeouts, %d bad", sr.Timeouts, sr.Bad))
 	}
-	rep.Cells = append(rep.Cells, cell)
+	rep.Cells = append(rep.Cells, cells...)
 
 	// Crash cell: the committed scenario's shape — node 5 fail-stops at
 	// 8 ms, partitioning the chain mid-load (traffic spans roughly
 	// 6.3-9.5 ms of virtual time after the channel-mesh setup); clients
 	// detect it by timeout and fail reads over to surviving replicas.
-	const crashNode, crashAtNS = 5, 8_000_000
 	crash := steady
 	crash.RequestsPerNode = 1500
-	crashCell, crashRep := benchServeCell("crash-chain16", nodes, []int{2, 4}, repeat, crash,
-		tccluster.NodeCrash(crashNode, crashAtNS*tccluster.Nanosecond))
-	if crashRep.Timeouts == 0 || crashRep.Failovers == 0 || crashRep.DeadMarks == 0 {
+	cells, cr := serveSweep("crash-chain16", []int{2, 4}, repeat, crash,
+		&serveFaultImpact{CrashNode: 5, CrashAtNS: 8_000_000})
+	if cr.Timeouts == 0 || cr.Failovers == 0 || cr.DeadMarks == 0 {
 		check(fmt.Errorf("serve bench: crash cell saw no failover: %d timeouts, %d failovers, %d dead marks",
-			crashRep.Timeouts, crashRep.Failovers, crashRep.DeadMarks))
+			cr.Timeouts, cr.Failovers, cr.DeadMarks))
 	}
-	crashCell.Fault = serveImpact(crashRep, crashNode, crashAtNS)
-	if crashCell.Fault.DipGoodputPct >= crashCell.Fault.PreGoodputPct {
+	imp := cells[0].Detail.(serveDetail).Fault
+	if imp.DipGoodputPct >= imp.PreGoodputPct {
 		check(fmt.Errorf("serve bench: crash left no goodput dip: pre %.2f%%, dip %.2f%%",
-			crashCell.Fault.PreGoodputPct, crashCell.Fault.DipGoodputPct))
+			imp.PreGoodputPct, imp.DipGoodputPct))
 	}
-	rep.Cells = append(rep.Cells, crashCell)
+	rep.Cells = append(rep.Cells, cells...)
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	check(err)
-
-	fmt.Printf("tccbench serve (%s, GOMAXPROCS=%d, NumCPU=%d, best of %d)\n",
-		rep.Meta.GoVersion, rep.Meta.GOMAXPROCS, rep.Meta.NumCPU, repeat)
 	for _, c := range rep.Cells {
-		fmt.Printf("  %s (%d nodes, %d req/node, %s): %d requests, goodput %.2f%%, p50 %.3fus p99 %.3fus p999 %.3fus\n",
-			c.Name, c.Nodes, c.RequestsPerNode, c.Policy, c.Requests, c.GoodputPct, c.P50Us, c.P99Us, c.P999Us)
-		for _, r := range c.Runs {
-			label := "serial"
-			if r.Workers > 0 {
-				label = fmt.Sprintf("%dw", r.Workers)
-			}
-			fmt.Printf("    %-7s %9d events %8.3fs wall %9.0f req/s\n",
-				label, r.Events, r.WallSeconds, r.ReqPerSec)
+		if c.Workers > 0 {
+			continue
 		}
-		if c.Fault != nil {
+		d := c.Detail.(serveDetail)
+		fmt.Printf("  %s (%d nodes, %s): %d requests, goodput %.2f%%, p50 %.3fus p99 %.3fus p999 %.3fus\n",
+			c.Name, d.Nodes, d.Policy, d.Requests, d.GoodputPct, d.P50PS/1e6, d.P99PS/1e6, d.P999PS/1e6)
+		if f := d.Fault; f != nil {
 			fmt.Printf("    crash node %d @%.1fms: goodput %.2f%% -> dip %.2f%% -> post %.2f%%, %d timeouts, %d failovers\n",
-				c.Fault.CrashNode, float64(c.Fault.CrashAtNS)/1e6, c.Fault.PreGoodputPct,
-				c.Fault.DipGoodputPct, c.Fault.PostGoodputPct, c.Fault.Timeouts, c.Fault.Failovers)
+				f.CrashNode, float64(f.CrashAtNS)/1e6, f.PreGoodputPct, f.DipGoodputPct, f.PostGoodputPct, f.Timeouts, f.Failovers)
 		}
 	}
-	// Gate before overwriting: -out and -baseline may name the same
-	// committed file.
-	if baseline != "" {
-		check(checkServeBaseline(rep, baseline))
-	}
-	check(os.WriteFile(out, append(data, '\n'), 0o644))
-	fmt.Printf("wrote %s\n", out)
+	return rep, nil
 }
