@@ -14,7 +14,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 	"time"
 
 	tccluster "repro"
@@ -28,10 +27,10 @@ import (
 type fingerprint struct {
 	Events         uint64  `json:"events"`
 	FinalVirtualNs float64 `json:"final_virtual_ns"`
-	// CountersDigest is an FNV-1a digest of the hardware counters (link
-	// port and northbridge) in sorted key order. A tracer's
-	// event-derived counters are left out: they accumulate in the
-	// Collector, which a benchmark may share between clusters.
+	// CountersDigest is Cluster.CountersDigest: the hardware counters
+	// (link port and northbridge) only. A tracer's event-derived
+	// counters are left out: they accumulate in the Collector, which a
+	// benchmark may share between clusters.
 	CountersDigest uint64 `json:"counters_digest"`
 	// Checksum digests the workload's own result: round-trip times,
 	// store completion times, reduced buffers or the serve report.
@@ -231,20 +230,8 @@ func measure(fired func() uint64, now func() tccluster.Time, body func()) cell {
 func measureCluster(c *tccluster.Cluster, body func()) cell {
 	runtime.GC()
 	m := measure(c.EventsFired, c.Now, body)
-	m.CountersDigest = countersDigest(c)
+	m.CountersDigest = c.CountersDigest()
 	return m
-}
-
-// countersDigest digests c's hardware counters in sorted key order.
-func countersDigest(c *tccluster.Cluster) uint64 {
-	var lines []string
-	for k, v := range c.Metrics().Counters {
-		if strings.HasPrefix(k.Name, "port.") || strings.HasPrefix(k.Name, "nb.") {
-			lines = append(lines, fmt.Sprintf("%v=%d", k, v))
-		}
-	}
-	sort.Strings(lines)
-	return fnvBytes(fnvBasis, []byte(strings.Join(lines, "\n")))
 }
 
 const fnvBasis, fnvPrime = 14695981039346656037, 1099511628211

@@ -57,7 +57,7 @@ func pingPongRounds(rounds int, opts ...tccluster.Option) cell {
 			}
 		}
 	})
-	m.CountersDigest, m.Checksum = countersDigest(c), sum
+	m.CountersDigest, m.Checksum = c.CountersDigest(), sum
 	return m
 }
 

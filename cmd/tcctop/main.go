@@ -113,7 +113,7 @@ func renderServe(b *strings.Builder, st *monitor.Status) {
 	fmt.Fprintf(b, "SERVE requests %-10d completed %-10d shed %-7d timeouts %-6d dead %d\n",
 		s.Requests, s.Completed, s.Shed, s.Timeouts, s.DeadMarks)
 	fmt.Fprintf(b, "      goodput %s %5.1f%%   p50 %s   p99 %s   p999 %s\n\n",
-		bar(s.Goodput/100, 10), s.Goodput, fmtPS(s.P50PS), fmtPS(s.P99PS), fmtPS(s.P999PS))
+		bar(s.Goodput/100, 10), s.Goodput, prof.FormatPS(s.P50PS), prof.FormatPS(s.P99PS), prof.FormatPS(s.P999PS))
 }
 
 // counterTotal sums counters matching name; pick filters by dimension.
@@ -248,7 +248,7 @@ func renderProfile(s *prof.Summary) string {
 			share = 100 * float64(p.TotalPS) / float64(total)
 		}
 		fmt.Fprintf(&b, "         %-12s %7d %10s %10s %6.1f%% %s\n",
-			p.Phase, p.Count, fmtPS(p.MeanPS), fmtPS(p.P99PS), share, bar(share/100, 10))
+			p.Phase, p.Count, prof.FormatPS(p.MeanPS), prof.FormatPS(p.P99PS), share, bar(share/100, 10))
 	}
 	if len(s.CriticalPath) > 0 {
 		h := s.CriticalPath[0]
@@ -263,23 +263,11 @@ func renderProfile(s *prof.Summary) string {
 				p.Partitioner, p.CutLinks, p.CutWeight)
 		}
 		fmt.Fprintf(&b, "         flips %-8d wide %-8d mean width %s\n",
-			p.DirtyFlips, p.WideWindows, fmtPS(p.MeanWindowNs*1e3))
+			p.DirtyFlips, p.WideWindows, prof.FormatPS(p.MeanWindowNs*1e3))
 		for _, pt := range p.Partitions {
 			fmt.Fprintf(&b, "         part %-3d events %-10d busy %8.1fms  barrier %8.1fms\n",
 				pt.Partition, pt.Events, pt.BusyMS, pt.BarrierWaitMS)
 		}
 	}
 	return b.String()
-}
-
-// fmtPS renders a picosecond quantity with an adaptive unit.
-func fmtPS(ps float64) string {
-	switch {
-	case ps >= 1e6:
-		return fmt.Sprintf("%.2fus", ps/1e6)
-	case ps >= 1e3:
-		return fmt.Sprintf("%.1fns", ps/1e3)
-	default:
-		return fmt.Sprintf("%.0fps", ps)
-	}
 }

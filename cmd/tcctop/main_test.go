@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/prof"
+	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
@@ -37,12 +39,12 @@ func testStatus() *monitor.Status {
 				{Name: "port.bytes_sent", Link: 0, Value: 32_000},
 				{Name: "port.credit_stalls", Link: 0, Value: 5},
 			},
-			Links: []monitor.LinkStatus{
+			Links: []core.LinkStatus{
 				{ID: 0, State: "active", Type: "ncHT", Width: 16, SpeedMHz: 800,
 					Bandwidth: 3.2e9},
 			},
 		},
-		Serve: &monitor.ServeStatus{
+		Serve: &serve.Snapshot{
 			Requests: 24000, Completed: 23940, InSLO: 23400, Timeouts: 40,
 			Shed: 20, DeadMarks: 3,
 			P50PS: 850_000, P99PS: 2_100_000, P999PS: 2_600_000, Goodput: 97.5,

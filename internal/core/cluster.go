@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
+	"sort"
+	"strings"
 
 	"repro/internal/cpu"
 	"repro/internal/errs"
@@ -382,6 +385,33 @@ func (c *Cluster) Tracer() trace.Tracer { return c.cfg.Tracer }
 // merged on top. It works with tracing disabled too; the hardware
 // counters are always live.
 func (c *Cluster) Metrics() trace.Snapshot {
+	s := c.hardwareMetrics()
+	if col, ok := c.cfg.Tracer.(*trace.Collector); ok && col != nil {
+		s.Merge(col.Metrics().Snapshot())
+	}
+	return s
+}
+
+// CountersDigest is an FNV-1a digest of the hardware counters — every
+// port.* and nb.* counter Metrics reports — in sorted key order. It
+// moves whenever any link or northbridge counter does, so benchmark and
+// scenario fingerprints carry it to catch a behaviour change that
+// leaves event counts and virtual time alone.
+func (c *Cluster) CountersDigest() uint64 {
+	counters := c.hardwareMetrics().Counters
+	lines := make([]string, 0, len(counters))
+	for k, v := range counters {
+		lines = append(lines, fmt.Sprintf("%v=%d", k, v))
+	}
+	sort.Strings(lines)
+	h := fnv.New64a()
+	h.Write([]byte(strings.Join(lines, "\n")))
+	return h.Sum64()
+}
+
+// hardwareMetrics snapshots the always-live link port and northbridge
+// counters.
+func (c *Cluster) hardwareMetrics() trace.Snapshot {
 	s := trace.NewSnapshot()
 	for i, l := range c.extLinks {
 		for side, p := range [2]*ht.Port{l.A(), l.B()} {
@@ -423,9 +453,6 @@ func (c *Cluster) Metrics() trace.Snapshot {
 			put("nb.probes_issued", cnt.ProbesIssued)
 		}
 	}
-	if col, ok := c.cfg.Tracer.(*trace.Collector); ok && col != nil {
-		s.Merge(col.Metrics().Snapshot())
-	}
 	return s
 }
 
@@ -464,12 +491,12 @@ func (c *Cluster) SetSampleHook(every sim.Time, fn func(now sim.Time)) {
 // layer: training state and the bandwidth implied by the trained width
 // and clock.
 type LinkStatus struct {
-	ID        int
-	State     string
-	Type      string
-	Width     int
-	SpeedMHz  int
-	Bandwidth float64 // unidirectional bytes/s, 0 while down
+	ID        int     `json:"id"`
+	State     string  `json:"state"`
+	Type      string  `json:"type"`
+	Width     int     `json:"width"`
+	SpeedMHz  int     `json:"speed_mhz"`
+	Bandwidth float64 `json:"bandwidth_bytes_per_s"` // unidirectional bytes/s, 0 while down
 }
 
 // LinkStatuses reports every external link's live status. It reads
@@ -619,13 +646,14 @@ func (n *Node) socketFor(off uint64) (*nb.MemoryController, uint64, error) {
 	return n.machine.Procs[s].NB.MemController(), off - uint64(s)*per, nil
 }
 
-// WatchWrites registers a doorbell on the node-local range
+// WatchWrites registers a watch on the node-local range
 // [off, off+size): fn fires, inside the store's DRAM-visibility event,
-// whenever a write overlapping the range lands in this node's memory
-// over the fabric. The message layer uses it to replace idle receive
-// polling with event-driven wake-ups. The range must lie within one
-// socket's memory slice. The returned function removes the watch.
-func (n *Node) WatchWrites(off, size uint64, fn func()) (func(), error) {
+// with the store's global address and size whenever a write overlapping
+// the range lands in this node's memory. The message layer uses it to
+// replace idle receive polling with event-driven wake-ups. The range
+// must lie within one socket's memory slice. The returned function
+// removes the watch.
+func (n *Node) WatchWrites(off, size uint64, fn func(addr uint64, nBytes int)) (func(), error) {
 	per := n.MemSize() / uint64(n.Sockets())
 	s := off / per
 	if size == 0 || int(s) >= n.Sockets() || (off+size-1)/per != s {

@@ -105,7 +105,10 @@ func TestChainHopLatencyAdder(t *testing.T) {
 	for hop := 1; hop <= 4; hop++ {
 		dst := c.Node(hop)
 		var land sim.Time
-		dst.Machine().Procs[0].NB.SetWriteHook(func(uint64, int) { land = c.Engine().Now() })
+		unwatch, err := dst.WatchWrites(0x80, 64, func(uint64, int) { land = c.Engine().Now() })
+		if err != nil {
+			t.Fatal(err)
+		}
 		start := c.Engine().Now()
 		done := false
 		src.Core().StoreBlock(dst.MemBase()+0x80, make([]byte, 64), func(err error) {
@@ -119,7 +122,7 @@ func TestChainHopLatencyAdder(t *testing.T) {
 			t.Fatalf("hop %d: store did not land", hop)
 		}
 		lands = append(lands, land-start)
-		dst.Machine().Procs[0].NB.SetWriteHook(nil)
+		unwatch()
 	}
 	for i := 1; i < len(lands); i++ {
 		adder := lands[i] - lands[i-1]
@@ -565,7 +568,10 @@ func TestMesh64Boards(t *testing.T) {
 	}
 	src, dst := c.Node(0), c.Node(63)
 	var landed sim.Time
-	dst.Machine().Procs[0].NB.SetWriteHook(func(uint64, int) { landed = c.Engine().Now() })
+	unwatch, err := dst.WatchWrites(2<<20, 64, func(uint64, int) { landed = c.Engine().Now() })
+	if err != nil {
+		t.Fatal(err)
+	}
 	start := c.Engine().Now()
 	done := false
 	src.Core().StoreBlock(dst.MemBase()+2<<20, make([]byte, 64), func(err error) {
@@ -575,7 +581,7 @@ func TestMesh64Boards(t *testing.T) {
 		done = true
 	})
 	c.Run()
-	dst.Machine().Procs[0].NB.SetWriteHook(nil)
+	unwatch()
 	if !done || landed == 0 {
 		t.Fatal("corner-to-corner store never landed")
 	}

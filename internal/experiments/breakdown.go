@@ -4,41 +4,37 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/ht"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // LatencyBreakdown (E17, extension) decomposes the 64-byte one-way
-// store+poll latency into its pipeline components, measured with event
-// hooks at each stage boundary of one real packet: where the ~222 ns of
-// Fig. 7 actually go. The receive-side poll adds a phase-dependent 0..1
-// poll periods on top (E14 characterizes that distribution).
+// store+poll latency into its pipeline components, measured at each
+// stage boundary of one real packet: where the ~222 ns of Fig. 7
+// actually go. The receive-side poll adds a phase-dependent 0..1 poll
+// periods on top (E14 characterizes that distribution).
 func LatencyBreakdown() (*stats.Table, error) {
-	c, _, err := buildPair(core.DefaultConfig())
+	cfg := core.DefaultConfig()
+	col := trace.NewCollector(1 << 10)
+	cfg.Tracer = col
+	c, _, err := buildPair(cfg)
 	if err != nil {
 		return nil, err
 	}
+	col.Reset() // keep only the measured store's events
 	srcNode := c.Node(0)
 	src := srcNode.Core()
 	dst := c.Node(1)
 
-	// Stage hooks fire on the partition that executes each stage: tx and
-	// issue on the sender's, rx and landing on the receiver's. Each hook
-	// writes its own variable, read only after the run drains.
-	var issued, txStart, rxAt, landed sim.Time
-	link := c.ExternalLinks()[0]
-	link.SetTrace(func(ev, side string, pkt *ht.Packet) {
-		switch {
-		case ev == "tx" && txStart == 0:
-			txStart = srcNode.Now()
-		case ev == "rx" && rxAt == 0:
-			rxAt = dst.Now()
-		}
-	})
-	dst.Machine().Procs[0].NB.SetWriteHook(func(uint64, int) { landed = dst.Now() })
-
+	// The store-issue and landing callbacks fire on the partition that
+	// executes each stage and write their own variable, read only after
+	// the run drains. The link stages come from the tracer: serialization
+	// start (KindPacketSent) and delivery (KindPacketDelivered) on the
+	// pair's one external link.
+	var issued, landed sim.Time
+	unwatch := watchLanding(dst, func(uint64, int) { landed = dst.Now() })
 	start := c.Now()
 	src.StoreBlock(dst.MemBase()+8<<20, make([]byte, 64), func(err error) {
 		if err == nil {
@@ -46,8 +42,16 @@ func LatencyBreakdown() (*stats.Table, error) {
 		}
 	})
 	c.Run()
-	link.SetTrace(nil)
-	dst.Machine().Procs[0].NB.SetWriteHook(nil)
+	unwatch()
+	var txStart, rxAt sim.Time
+	for _, ev := range col.Events() {
+		switch {
+		case ev.Kind == trace.KindPacketSent && txStart == 0:
+			txStart = ev.At
+		case ev.Kind == trace.KindPacketDelivered && rxAt == 0:
+			rxAt = ev.At
+		}
+	}
 	if issued == 0 || txStart == 0 || rxAt == 0 || landed == 0 {
 		return nil, fmt.Errorf("breakdown: missing stage timestamps")
 	}
@@ -109,7 +113,7 @@ func SupernodeTransit() (*stats.Table, error) {
 	dst := c.Node(1)
 	for s := 0; s < 4; s++ {
 		var landed sim.Time
-		dst.Machine().Procs[0].NB.SetWriteHook(func(uint64, int) {
+		unwatch := watchLanding(dst, func(uint64, int) {
 			if landed == 0 {
 				landed = dst.Now()
 			}
@@ -119,7 +123,7 @@ func SupernodeTransit() (*stats.Table, error) {
 		src := srcNode.CoreAt(s, 0)
 		src.StoreBlock(dst.MemBase()+8<<20, make([]byte, 64), func(error) {})
 		c.Run()
-		dst.Machine().Procs[0].NB.SetWriteHook(nil)
+		unwatch()
 		if landed == 0 {
 			return nil, fmt.Errorf("socket %d: store never landed", s)
 		}

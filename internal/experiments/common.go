@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -38,6 +39,14 @@ func buildChain(n int, cfg core.Config) (*core.Cluster, *kernel.OS, error) {
 		return nil, nil, err
 	}
 	return c, kernel.Install(c, kernel.Options{SMCDisabled: true}), nil
+}
+
+// watchLanding calls fn at every store that becomes visible in node n's
+// socket-0 DRAM and returns the function that removes the watch.
+func watchLanding(n *core.Node, fn func(addr uint64, nBytes int)) func() {
+	nbr := n.Machine().Procs[0].NB
+	id := nbr.WatchWrites(0, math.MaxUint64, fn)
+	return func() { nbr.Unwatch(id) }
 }
 
 // buildPair boots the two-node prototype.

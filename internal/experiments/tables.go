@@ -34,11 +34,11 @@ func HopLatency(maxHops int) (*stats.Table, error) {
 	for hop := 1; hop <= maxHops; hop++ {
 		dst := c.Node(hop)
 		var land sim.Time
-		dst.Machine().Procs[0].NB.SetWriteHook(func(uint64, int) { land = dst.Now() })
+		unwatch := watchLanding(dst, func(uint64, int) { land = dst.Now() })
 		start := c.Now()
 		c.Node(0).Core().StoreBlock(dst.MemBase()+8<<20, make([]byte, 64), func(error) {})
 		c.Run()
-		dst.Machine().Procs[0].NB.SetWriteHook(nil)
+		unwatch()
 		if land == 0 {
 			return nil, fmt.Errorf("hop %d: store never landed", hop)
 		}
@@ -292,7 +292,7 @@ func LinkSpeedSweep() (*stats.Table, error) {
 			// One-way 64B land time.
 			var land sim.Time
 			dst := c.Node(1)
-			dst.Machine().Procs[0].NB.SetWriteHook(func(uint64, int) { land = dst.Now() })
+			watchLanding(dst, func(uint64, int) { land = dst.Now() })
 			start := c.Now()
 			c.Node(0).Core().StoreBlock(dst.MemBase()+9<<20, make([]byte, 64), func(error) {})
 			c.Run()

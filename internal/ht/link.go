@@ -300,8 +300,6 @@ type Link struct {
 	degraded     bool
 
 	trainings int
-	log       func(string)
-	trace     func(event, side string, pkt *Packet)
 	tracer    trace.Tracer
 	trc       [2]trace.Tracer // tracer per side; both equal unless Split
 	traceID   int
@@ -404,15 +402,6 @@ func NewLink(eng *sim.Engine, cfg LinkConfig) *Link {
 	return l
 }
 
-// SetLog installs a training/event log callback (used by firmware logs
-// and tests).
-func (l *Link) SetLog(fn func(string)) { l.log = fn }
-
-// SetTrace installs a packet tracer, invoked at serialization start
-// ("tx", transmitting side) and delivery ("rx", receiving side). The
-// cmd/tcctrace tool uses it to render fabric activity chronologically.
-func (l *Link) SetTrace(fn func(event, side string, pkt *Packet)) { l.trace = fn }
-
 // SetTracer installs the cluster-wide observability tracer for this
 // link, identified as Link=id in emitted events. A nil tracer (the
 // default) makes every emission site a single nil-check no-op.
@@ -489,18 +478,6 @@ func (l *Link) sched(side int, at sim.Time, arg sim.EventArg) {
 		return
 	}
 	l.engs[side].Schedule(at, l, arg)
-}
-
-func (l *Link) emitTrace(event, side string, pkt *Packet) {
-	if l.trace != nil {
-		l.trace(event, side, pkt)
-	}
-}
-
-func (l *Link) logf(format string, args ...interface{}) {
-	if l.log != nil {
-		l.log(fmt.Sprintf(format, args...))
-	}
 }
 
 // A returns the port on the A side.
@@ -743,7 +720,6 @@ func (p *Port) transmit(pkt *Packet) {
 	}
 	p.stats.bytesSent.Add(uint64(wire))
 	p.stats.perVCSent[pkt.Cmd.VC()].Add(1)
-	l.emitTrace("tx", p.name, pkt)
 	if tr := l.trc[p.side]; tr != nil {
 		tr.Emit(trace.Event{
 			At: eng.Now(), Kind: trace.KindPacketSent, Node: -1,
@@ -780,7 +756,6 @@ func faultU01(seed, side, seq, attempt uint64) float64 {
 func (l *Link) deliver(rec *txRec) {
 	p, pkt := rec.p, rec.pkt
 	peer := p.Peer()
-	l.emitTrace("rx", peer.name, pkt)
 	if tr := l.trc[peer.side]; tr != nil {
 		tr.Emit(trace.Event{
 			At: l.engs[peer.side].Now(), Kind: trace.KindPacketDelivered, Node: -1,
@@ -838,7 +813,6 @@ func (l *Link) ForceDown() {
 	l.state = StateDown
 	l.typ = TypeDown
 	l.abortQueued()
-	l.logf("link forced down")
 }
 
 // abortQueued flushes both ports' wait queues and tx servers, completing
@@ -882,7 +856,6 @@ func (l *Link) SetFaultRate(rate float64, penalty sim.Time) {
 		l.faultPenalty = 500 * sim.Nanosecond
 	}
 	l.degraded = rate > l.cfg.ErrorRate
-	l.logf(fmt.Sprintf("link fault rate set to %.3f", rate))
 }
 
 // ClearFaultOverride restores the configured baseline error model.
@@ -928,7 +901,6 @@ func (l *Link) StartRetrain() bool {
 	l.state = StateTraining
 	l.typ = TypeDown
 	l.abortQueued()
-	l.logf("link retraining (fault campaign)")
 	return true
 }
 
@@ -1012,8 +984,6 @@ func (l *Link) finishTraining(speed Speed, width int) {
 	l.trainings++
 	l.ports[0].credits = NewCredits(l.ports[1].bufferCfg())
 	l.ports[1].credits = NewCredits(l.ports[0].bufferCfg())
-	l.logf("link trained: %v %dx %v (%.1f Gbit/s/lane)",
-		l.typ, l.width, l.speed, l.speed.GbitPerLane())
 }
 
 // negotiateType implements the identification phase of training: two

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func trainedLink(t *testing.T, eng *sim.Engine, cfg LinkConfig) *Link {
@@ -298,14 +299,12 @@ func TestPortAccessorsAndLogs(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultLinkConfig(ClassProcessor, ClassIODevice)
 	l := NewLink(eng, cfg)
-	var logs []string
-	l.SetLog(func(s string) { logs = append(logs, s) })
-	traced := 0
-	l.SetTrace(func(ev, side string, p *Packet) { traced++ })
+	col := trace.NewCollector(64)
+	l.SetTracer(col, 0)
 	l.ColdReset()
 	eng.Run()
-	if len(logs) == 0 {
-		t.Error("training produced no log")
+	if l.Trainings() != 1 {
+		t.Errorf("trainings = %d after cold reset, want 1", l.Trainings())
 	}
 	a := l.A()
 	if a.Side() != "A" || a.Class() != ClassProcessor || a.Link() != l {
@@ -331,8 +330,17 @@ func TestPortAccessorsAndLogs(t *testing.T) {
 	p, _ := NewPostedWrite(0, []byte{1, 2, 3, 4})
 	_ = a.Send(p)
 	eng.Run()
-	if traced != 2 {
-		t.Errorf("trace events = %d, want tx+rx", traced)
+	var sent, delivered int
+	for _, ev := range col.Events() {
+		switch ev.Kind {
+		case trace.KindPacketSent:
+			sent++
+		case trace.KindPacketDelivered:
+			delivered++
+		}
+	}
+	if sent != 1 || delivered != 1 {
+		t.Errorf("trace events: %d sent, %d delivered, want one of each", sent, delivered)
 	}
 	if err := a.CheckIdle(); err != nil {
 		t.Errorf("post-traffic idle check: %v", err)

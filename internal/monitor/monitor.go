@@ -14,9 +14,10 @@
 // core.Cluster.SetSampleHook, so rules may reason about sim state with
 // no cross-thread coordination and alert timing is deterministic in
 // virtual time. The scrape path reads only atomically maintained
-// counters (Source.Metrics must be safe for concurrent use; the core
-// cluster's hardware counters are atomics) plus mutex-guarded copies
-// published by the sampler, so scraping never pauses the simulation.
+// counters (core.Cluster.Metrics is safe for concurrent use: the
+// hardware counters are atomics and the collector registry is locked)
+// plus mutex-guarded copies published by the sampler, so scraping never
+// pauses the simulation.
 package monitor
 
 import (
@@ -24,29 +25,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/prof"
+	"repro/internal/core"
+	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
-
-// Source is what the monitor observes. Metrics must be safe to call
-// concurrently with a running simulation (core.Cluster.Metrics is: its
-// hardware counters are atomics and the collector registry is locked).
-type Source interface {
-	Metrics() trace.Snapshot
-}
-
-// LinkStatus mirrors core.LinkStatus without importing core: the root
-// package adapts between the two, keeping monitor reusable over any
-// Source.
-type LinkStatus struct {
-	ID        int     `json:"id"`
-	State     string  `json:"state"`
-	Type      string  `json:"type"`
-	Width     int     `json:"width"`
-	SpeedMHz  int     `json:"speed_mhz"`
-	Bandwidth float64 `json:"bandwidth_bytes_per_s"`
-}
 
 // DefaultSampleEvery is the default width of one sampling window in
 // virtual time. 100 us is fine-grained enough that a multi-millisecond
@@ -57,12 +39,10 @@ const DefaultSampleEvery = 100 * sim.Microsecond
 // Monitor ties the sampler, flight recorder, watchdog and HTTP server
 // together.
 type Monitor struct {
-	src      Source
+	cluster  *core.Cluster
 	interval sim.Time
-	linkFn   func() []LinkStatus
 	autoDump string
-	profiler *prof.Profiler
-	serveFn  func() ServeStatus
+	service  *serve.Service
 
 	recorder *FlightRecorder
 	watchdog *Watchdog
@@ -112,74 +92,30 @@ func WithAutoDump(path string) Option {
 	return func(m *Monitor) { m.autoDump = path }
 }
 
-// WithLinkStatus installs the per-window link status source, called on
-// the simulation goroutine.
-func WithLinkStatus(fn func() []LinkStatus) Option {
-	return func(m *Monitor) { m.linkFn = fn }
-}
-
-// WithTracer routes watchdog alert events (trace.KindAlert /
-// KindAlertResolved) into the cluster's tracer.
-func WithTracer(t trace.Tracer) Option {
-	return func(m *Monitor) { m.watchdog.SetTracer(t) }
-}
-
-// WithProfiler exposes a packet-lifecycle profiler over the /profile
-// endpoint. The profiler's histograms are atomics, so scraping mid-run
-// is safe and never perturbs the simulation.
-func WithProfiler(p *prof.Profiler) Option {
-	return func(m *Monitor) { m.profiler = p }
-}
-
-// Profiler returns the attached profiler, nil when none was installed.
-func (m *Monitor) Profiler() *prof.Profiler { return m.profiler }
-
-// ServeStatus is the serving-service section of /metrics.json,
-// mirroring serve.Snapshot without importing serve (the root package
-// adapts between the two, like LinkStatus does for core).
-type ServeStatus struct {
-	Requests  uint64  `json:"requests"`
-	Completed uint64  `json:"completed"`
-	InSLO     uint64  `json:"in_slo"`
-	Timeouts  uint64  `json:"timeouts"`
-	Shed      uint64  `json:"shed"`
-	DeadMarks uint64  `json:"dead_marks"`
-	P50PS     float64 `json:"p50_ps"`
-	P99PS     float64 `json:"p99_ps"`
-	P999PS    float64 `json:"p999_ps"`
-	Goodput   float64 `json:"goodput_pct"`
-}
-
-// SetServeSource installs the serving-service snapshot source, called
-// from the HTTP goroutine on every Status assembly. fn must be safe to
-// call concurrently with the running simulation (serve's snapshots read
-// single-writer atomics only). A service is typically deployed after
-// the cluster — and thus the monitor — is built, so this is a setter
-// rather than an Option.
-func (m *Monitor) SetServeSource(fn func() ServeStatus) {
+// SetService adds a deployed serving service's live snapshot to
+// /metrics.json. Status reads it from the HTTP goroutine; serve's
+// snapshots read single-writer atomics only, so that is safe while the
+// simulation runs. A service is typically deployed after the cluster —
+// and thus the monitor — is built, so this is a setter rather than an
+// Option.
+func (m *Monitor) SetService(s *serve.Service) {
 	m.mu.Lock()
-	m.serveFn = fn
+	m.service = s
 	m.mu.Unlock()
 }
 
-// serveSource returns the installed serving snapshot source, if any.
-func (m *Monitor) serveSource() func() ServeStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.serveFn
-}
-
-// New builds a Monitor over src. It does not listen anywhere until
-// Serve is called, and does not sample until its OnSample is wired into
-// the simulation loop (core.Cluster.SetSampleHook(m.Interval(),
-// m.OnSample)).
-func New(src Source, opts ...Option) *Monitor {
+// New builds a Monitor over c. Watchdog alerts go to c's tracer and
+// /profile serves c's profiler. It does not listen anywhere until Serve
+// is called, and does not sample until its OnSample is wired into the
+// simulation loop (c.SetSampleHook(m.Interval(), m.OnSample)).
+func New(c *core.Cluster, opts ...Option) *Monitor {
 	m := &Monitor{
-		src:      src,
+		cluster:  c,
 		interval: DefaultSampleEvery,
 		recorder: NewFlightRecorder(DefaultRecorderWindows),
 		watchdog: NewWatchdog(DefaultRules()...),
 	}
+	m.watchdog.SetTracer(c.Tracer())
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -197,14 +133,10 @@ func (m *Monitor) Watchdog() *Watchdog { return m.watchdog }
 
 // OnSample ingests one sampling tick. It must be called from the
 // simulation goroutine (core.Cluster.SetSampleHook does); it snapshots
-// the source, closes a flight-recorder window, and runs the watchdog
+// the cluster, closes a flight-recorder window, and runs the watchdog
 // over it.
 func (m *Monitor) OnSample(now sim.Time) {
-	var links []LinkStatus
-	if m.linkFn != nil {
-		links = m.linkFn()
-	}
-	w := m.recorder.Record(now, m.src.Metrics(), links)
+	w := m.recorder.Record(now, m.cluster.Metrics(), m.cluster.LinkStatuses())
 	raised := m.watchdog.Evaluate(w)
 	m.mu.Lock()
 	m.lastSample = now

@@ -3,7 +3,6 @@ package monitor
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/trace"
@@ -36,17 +35,6 @@ func promLabels(k trace.Key) string {
 	return fmt.Sprintf(`node="%d",link="%d",chan="%d"`, k.Node, k.Link, k.Chan)
 }
 
-// sortedKeys returns keys grouped by name then scope, so every scrape
-// of the same state is byte-identical.
-func sortedKeys[V any](m map[trace.Key]V) []trace.Key {
-	keys := make([]trace.Key, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	return keys
-}
-
 // WritePrometheus renders a snapshot in Prometheus text exposition
 // format.
 func WritePrometheus(w io.Writer, s trace.Snapshot) error {
@@ -61,19 +49,19 @@ func WritePrometheus(w io.Writer, s trace.Snapshot) error {
 	}
 
 	last := ""
-	for _, k := range sortedKeys(s.Counters) {
+	for _, k := range trace.SortedKeys(s.Counters) {
 		name := promName(k.Name)
 		emitHeader(name, "counter", &last)
 		bw.printf("%s{%s} %d\n", name, promLabels(k), s.Counters[k])
 	}
 	last = ""
-	for _, k := range sortedKeys(s.Gauges) {
+	for _, k := range trace.SortedKeys(s.Gauges) {
 		name := promName(k.Name)
 		emitHeader(name, "gauge", &last)
 		bw.printf("%s{%s} %g\n", name, promLabels(k), s.Gauges[k])
 	}
 	last = ""
-	for _, k := range sortedKeys(s.Histograms) {
+	for _, k := range trace.SortedKeys(s.Histograms) {
 		h := s.Histograms[k]
 		name := promName(k.Name)
 		emitHeader(name, "summary", &last)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -27,7 +28,7 @@ type Window struct {
 	// Totals is the absolute snapshot at End; rules that need "has this
 	// link ever delivered" read it instead of re-summing deltas.
 	Totals trace.Snapshot
-	Links  []LinkStatus `json:"links"`
+	Links  []core.LinkStatus `json:"links"`
 }
 
 // Duration returns the window's width in virtual time.
@@ -67,7 +68,7 @@ func (r *FlightRecorder) Capacity() int { return cap(r.ring) }
 // totals, storing counter deltas against the previous sample. The first
 // call establishes the baseline: deltas are measured from boot, with
 // Start left at the recorder's creation time of zero.
-func (r *FlightRecorder) Record(now sim.Time, totals trace.Snapshot, links []LinkStatus) Window {
+func (r *FlightRecorder) Record(now sim.Time, totals trace.Snapshot, links []core.LinkStatus) Window {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delta := trace.NewSnapshot()

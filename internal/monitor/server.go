@@ -14,7 +14,8 @@ import (
 //	/health        terse liveness/degradation summary
 //	/alerts        active alerts plus resolved history
 //	/dump          flight-recorder dump of the retained windows
-//	/profile       profiler latency budget (JSON; ?format=prometheus)
+//	/profile       profiler latency budget (JSON; ?format=prometheus
+//	               renders the profiler's Metrics snapshot)
 //
 // Handlers never touch the simulation engine; they read atomically
 // maintained counters and mutex-guarded copies, so a scrape cannot
@@ -28,7 +29,7 @@ func newHTTPServer(m *Monitor, addr string) (*httpServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WritePrometheus(w, m.src.Metrics())
+		_ = WritePrometheus(w, m.cluster.Metrics())
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, m.Status())
@@ -62,18 +63,17 @@ func newHTTPServer(m *Monitor, addr string) (*httpServer, error) {
 		_ = m.recorder.WriteDump(w, "http request")
 	})
 	mux.HandleFunc("/profile", func(w http.ResponseWriter, r *http.Request) {
-		p := m.profiler
+		p := m.cluster.Profiler()
 		if p == nil {
 			http.Error(w, "profiling disabled (build the cluster with WithProfile)", http.StatusNotFound)
 			return
 		}
-		s := p.Summary()
 		if r.URL.Query().Get("format") == "prometheus" {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = s.WritePrometheus(w)
+			_ = WritePrometheus(w, p.Metrics())
 			return
 		}
-		writeJSON(w, s)
+		writeJSON(w, p.Summary())
 	})
 
 	ln, err := net.Listen("tcp", addr)

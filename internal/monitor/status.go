@@ -1,7 +1,9 @@
 package monitor
 
 import (
+	"repro/internal/core"
 	"repro/internal/hist"
+	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
@@ -47,34 +49,34 @@ type HistJSON struct {
 
 // WindowJSON is one flight-recorder window with counter deltas.
 type WindowJSON struct {
-	Index    int64        `json:"index"`
-	StartPS  int64        `json:"start_ps"`
-	EndPS    int64        `json:"end_ps"`
-	Counters []MetricJSON `json:"counters"`
-	Links    []LinkStatus `json:"links,omitempty"`
+	Index    int64             `json:"index"`
+	StartPS  int64             `json:"start_ps"`
+	EndPS    int64             `json:"end_ps"`
+	Counters []MetricJSON      `json:"counters"`
+	Links    []core.LinkStatus `json:"links,omitempty"`
 }
 
 type windowJSON = WindowJSON
 
 // Status is the full /metrics.json document.
 type Status struct {
-	Status      string       `json:"status"` // "ok" or "degraded"
-	VirtualPS   int64        `json:"virtual_ps"`
-	Samples     uint64       `json:"samples"`
-	IntervalPS  int64        `json:"interval_ps"`
-	DumpError   string       `json:"dump_error,omitempty"`
-	Counters    []MetricJSON `json:"counters"`
-	Gauges      []GaugeJSON  `json:"gauges"`
-	Histograms  []HistJSON   `json:"histograms"`
-	Window      *WindowJSON  `json:"window,omitempty"` // latest closed window
-	Serve       *ServeStatus `json:"serve,omitempty"`  // serving service, when deployed
-	Alerts      []Alert      `json:"alerts"`
-	AlertsTotal uint64       `json:"alerts_total"`
+	Status      string          `json:"status"` // "ok" or "degraded"
+	VirtualPS   int64           `json:"virtual_ps"`
+	Samples     uint64          `json:"samples"`
+	IntervalPS  int64           `json:"interval_ps"`
+	DumpError   string          `json:"dump_error,omitempty"`
+	Counters    []MetricJSON    `json:"counters"`
+	Gauges      []GaugeJSON     `json:"gauges"`
+	Histograms  []HistJSON      `json:"histograms"`
+	Window      *WindowJSON     `json:"window,omitempty"` // latest closed window
+	Serve       *serve.Snapshot `json:"serve,omitempty"`  // serving service, when deployed
+	Alerts      []Alert         `json:"alerts"`
+	AlertsTotal uint64          `json:"alerts_total"`
 }
 
 func countersToJSON(m map[trace.Key]uint64) []MetricJSON {
 	out := make([]MetricJSON, 0, len(m))
-	for _, k := range sortedKeys(m) {
+	for _, k := range trace.SortedKeys(m) {
 		out = append(out, MetricJSON{Name: k.Name, Node: k.Node, Link: k.Link,
 			Chan: k.Chan, Value: m[k]})
 	}
@@ -83,7 +85,7 @@ func countersToJSON(m map[trace.Key]uint64) []MetricJSON {
 
 func gaugesToJSON(m map[trace.Key]float64) []GaugeJSON {
 	out := make([]GaugeJSON, 0, len(m))
-	for _, k := range sortedKeys(m) {
+	for _, k := range trace.SortedKeys(m) {
 		out = append(out, GaugeJSON{Name: k.Name, Node: k.Node, Link: k.Link,
 			Chan: k.Chan, Value: m[k]})
 	}
@@ -92,7 +94,7 @@ func gaugesToJSON(m map[trace.Key]float64) []GaugeJSON {
 
 func histsToJSON(m map[trace.Key]hist.Snapshot) []HistJSON {
 	out := make([]HistJSON, 0, len(m))
-	for _, k := range sortedKeys(m) {
+	for _, k := range trace.SortedKeys(m) {
 		h := m[k]
 		out = append(out, HistJSON{Name: k.Name, Node: k.Node, Link: k.Link,
 			Chan: k.Chan, Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max,
@@ -112,13 +114,13 @@ func windowToJSON(w Window) WindowJSON {
 	}
 }
 
-// Status assembles the live status document: a fresh Source snapshot
+// Status assembles the live status document: a fresh cluster snapshot
 // plus the latest recorder window and active alerts.
 func (m *Monitor) Status() Status {
-	s := m.src.Metrics()
+	s := m.cluster.Metrics()
 	last, samples := m.LastSample()
 	m.mu.Lock()
-	dumpErr := m.dumpErr
+	dumpErr, svc := m.dumpErr, m.service
 	m.mu.Unlock()
 	alerts := m.watchdog.Active()
 	raised, _ := m.watchdog.Counts()
@@ -141,9 +143,9 @@ func (m *Monitor) Status() Status {
 		wj := windowToJSON(w)
 		st.Window = &wj
 	}
-	if fn := m.serveSource(); fn != nil {
-		ss := fn()
-		st.Serve = &ss
+	if svc != nil {
+		sn := svc.Snapshot()
+		st.Serve = &sn
 	}
 	return st
 }

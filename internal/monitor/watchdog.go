@@ -97,7 +97,7 @@ func (d *Watchdog) Evaluate(w Window) []Alert {
 	for _, r := range d.rules {
 		findings := r.Evaluate(w)
 		sort.Slice(findings, func(i, j int) bool {
-			return keyLess(findings[i].Target, findings[j].Target)
+			return findings[i].Target.Less(findings[j].Target)
 		})
 		for _, f := range findings {
 			id := alertID{rule: r.Name(), target: f.Target}
@@ -126,7 +126,7 @@ func (d *Watchdog) Evaluate(w Window) []Alert {
 		if ids[i].rule != ids[j].rule {
 			return ids[i].rule < ids[j].rule
 		}
-		return keyLess(ids[i].target, ids[j].target)
+		return ids[i].target.Less(ids[j].target)
 	})
 	for _, id := range ids {
 		a := d.active[id]
@@ -185,7 +185,7 @@ func (d *Watchdog) Active() []Alert {
 		if out[i].Rule != out[j].Rule {
 			return out[i].Rule < out[j].Rule
 		}
-		return keyLess(out[i].Target, out[j].Target)
+		return out[i].Target.Less(out[j].Target)
 	})
 	return out
 }
@@ -202,19 +202,6 @@ func (d *Watchdog) Counts() (raised, resolved uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.raised, d.resolved
-}
-
-func keyLess(a, b trace.Key) bool {
-	if a.Name != b.Name {
-		return a.Name < b.Name
-	}
-	if a.Node != b.Node {
-		return a.Node < b.Node
-	}
-	if a.Link != b.Link {
-		return a.Link < b.Link
-	}
-	return a.Chan < b.Chan
 }
 
 // ---- Built-in rules -----------------------------------------------------

@@ -144,12 +144,20 @@ type Sender struct {
 	resCont    func(error)
 	resWait    func()
 	resRead    func([]byte, error)
-	afterRes   func(error)
-	wfSingle   func(error)
-	wfTail     func(error)
-	wfSync1    func()
-	wfHdr      func(error)
-	wfSync2    func()
+	resRewrap  func(error) // reserves the frame afresh after its wrap
+	resStalled bool        // the reservation is waiting for ring space
+	// Lost flow-control detection (see checkLostFC): when the stall
+	// with every frame acked began, how many reposts it requested, and
+	// whether a parked sender has an fcCheck wake-up pending.
+	fcLostAt     sim.Time
+	fcLostTries  int
+	fcCheckArmed bool
+	afterRes     func(error)
+	wfSingle     func(error)
+	wfTail       func(error)
+	wfSync1      func()
+	wfHdr        func(error)
+	wfSync2      func()
 
 	// Reliable-mode state. unacked holds every frame whose sequence the
 	// receiver has not yet acknowledged, in sequence order; its store
@@ -257,6 +265,50 @@ func (s *Sender) drain() {
 	s.reserve(frameSize(len(q.payload)), s.afterRes)
 }
 
+// writeMark stores a pseudo-frame header — an ack probe or a
+// flow-control request — at the sender's next fresh slot, where a
+// caught-up receiver polls. It occupies no ring space: the next real
+// header overwrites it.
+func (s *Sender) writeMark(mark uint32, done func()) {
+	s.ring.Write(s.sent%s.par.RingBytes, packHeader(mark, s.seq), func(err error) {
+		if err != nil {
+			done()
+			return
+		}
+		s.ring.Sync(done)
+	})
+}
+
+// requestFC asks the receiver to post its consumed bytes now. It
+// reports them only once FCThreshold accumulate, so a frame that needs
+// fewer unreported bytes than that would otherwise stall forever.
+func (s *Sender) requestFC() { s.writeMark(fcMark, func() {}) }
+
+// checkLostFC watches a reliable stall with every frame acked: the
+// receiver has consumed everything, so the flow-control update the
+// sender waits for is in flight or died with the link. A stall that
+// outlives an ack timeout is the latter, and the sender requests a
+// repost, at most RetransmitBudget times before giving the peer up.
+// Spinning senders check on every flow-control read; parked ones are
+// woken for it by an fcCheck event.
+func (s *Sender) checkLostFC() {
+	now := s.eng.Now()
+	if s.fcLostAt == 0 {
+		s.fcLostAt = now
+		return
+	}
+	if now-s.fcLostAt < s.par.AckTimeout {
+		return
+	}
+	s.fcLostAt = now
+	s.fcLostTries++
+	if s.fcLostTries > s.par.RetransmitBudget {
+		s.latchDead()
+		return
+	}
+	s.requestFC()
+}
+
 // deadErr is the error a dead-latched sender hands every completion.
 func (s *Sender) deadErr() error {
 	return fmt.Errorf("msg: peer %d unreachable after %d retransmit rounds: %w",
@@ -267,13 +319,28 @@ func (s *Sender) deadErr() error {
 // inserting a wrap marker if the frame would straddle the ring end.
 // One reservation is in flight at a time (sends are serialized), so
 // the wait/read continuations are built once per sender.
+//
+// After a wrap the frame is reserved afresh at offset 0. A frame larger
+// than the offset it wraps from cannot share the ring with its own
+// wrap padding, so its first reservation waits for the padding alone.
 func (s *Sender) reserve(fs uint64, cont func(error)) {
+	ring := s.par.RingBytes
 	need := fs
-	if off := s.sent % s.par.RingBytes; off+fs > s.par.RingBytes {
-		need += s.par.RingBytes - off // wrap padding also needs space
+	if off := s.sent % ring; off+fs > ring {
+		need += ring - off // wrap padding also needs space
+		if need > ring {
+			need = ring - off
+		}
 	}
 	s.resFS, s.resNeed, s.resCont = fs, need, cont
 	if s.resWait == nil {
+		s.resRewrap = func(err error) {
+			if err != nil {
+				s.resCont(err)
+				return
+			}
+			s.reserve(s.resFS, s.resCont)
+		}
 		s.resWait = func() {
 			ring := s.par.RingBytes
 			off := s.sent % ring
@@ -282,8 +349,10 @@ func (s *Sender) reserve(fs uint64, cont func(error)) {
 				return
 			}
 			if ring-(s.sent-s.consumed) >= s.resNeed {
+				s.resStalled = false
+				s.fcLostAt, s.fcLostTries = 0, 0
 				if off+s.resFS > ring {
-					s.writeWrap(ring-off, s.resCont)
+					s.writeWrap(ring-off, s.resRewrap)
 					return
 				}
 				s.resCont(nil)
@@ -296,6 +365,7 @@ func (s *Sender) reserve(fs uint64, cont func(error)) {
 			// otherwise the read loops back to back, the paper's
 			// uncached spin poll.
 			s.stats.FCStalls++
+			s.resStalled = true
 			if s.tracer != nil {
 				s.tracer.Emit(trace.Event{
 					At: s.eng.Now(), Kind: trace.KindRingFull, Node: s.src,
@@ -313,10 +383,25 @@ func (s *Sender) reserve(fs uint64, cont func(error)) {
 			v := binary.LittleEndian.Uint64(d)
 			if v > s.consumed {
 				s.consumed = v
+				s.fcLostAt, s.fcLostTries = 0, 0
 			}
-			if s.par.RingBytes-(s.sent-s.consumed) >= s.resNeed || s.fcDirty || !s.ensureFCDoorbell() {
-				s.resWait() // progress, a write landed mid-read, or no doorbell
+			if s.par.RingBytes-(s.sent-s.consumed) >= s.resNeed {
+				s.resWait() // progress
 				return
+			}
+			switch {
+			case s.sent-s.consumed < s.par.FCThreshold:
+				s.requestFC()
+			case s.par.Reliable && len(s.unacked) == 0:
+				s.checkLostFC()
+			}
+			if s.dead || s.fcDirty || !s.ensureFCDoorbell() {
+				s.resWait() // gave up, a write landed mid-read, or no doorbell
+				return
+			}
+			if s.fcLostAt != 0 && !s.fcCheckArmed {
+				s.fcCheckArmed = true
+				s.eng.Schedule(s.fcLostAt+s.par.AckTimeout, s, sim.EventArg{I: fcCheck})
 			}
 			s.fcParked = s.resWait
 		}
@@ -348,7 +433,7 @@ func (s *Sender) ensureFCDoorbell() bool {
 // fc page is written (a flow-control update, or a cumulative ack in
 // reliable mode — a parked sender woken by an ack simply re-reads and
 // parks again).
-func (s *Sender) onFCDoorbell() {
+func (s *Sender) onFCDoorbell(uint64, int) {
 	if s.fcParked != nil {
 		w := s.fcParked
 		s.fcParked = nil
@@ -478,10 +563,22 @@ func (s *Sender) armTimer(d sim.Time) {
 	s.eng.ScheduleAfter(d, s, sim.EventArg{I: int64(s.timerGen)})
 }
 
+// fcCheck is the EventArg.I of a parked sender's lost flow-control
+// check; ack timer events carry their (positive) generation instead.
+const fcCheck = -1
+
 // OnEvent is the ack timer: read the cumulative ack from the local
 // flow-control page, complete what it covers, and retransmit — or give
 // the peer up — when it stalls.
 func (s *Sender) OnEvent(_ *sim.Engine, arg sim.EventArg) {
+	if arg.I == fcCheck {
+		s.fcCheckArmed = false
+		if w := s.fcParked; w != nil {
+			s.fcParked = nil
+			w() // re-read flow control; checkLostFC decides
+		}
+		return
+	}
 	if uint64(arg.I) != s.timerGen {
 		return // superseded by a later arm
 	}
@@ -503,6 +600,12 @@ func (s *Sender) OnEvent(_ *sim.Engine, arg sim.EventArg) {
 		s.completeAcked()
 		if len(s.unacked) == 0 {
 			s.attempts = 0
+			if w := s.fcParked; w != nil {
+				// A stall parked on flow control now has nothing left
+				// to ack: re-read, so checkLostFC starts watching it.
+				s.fcParked = nil
+				w()
+			}
 			return
 		}
 		if progress {
@@ -580,21 +683,42 @@ func (s *Sender) retransmit(i int, done func()) {
 // retransmitted frame lands behind its poll position — invisible. The
 // probe lands exactly where it polls and makes it repost the ack.
 // Skipped while a send is in flight (fresh traffic is its own probe) or
-// when the slot may still hold unconsumed data.
+// when the slot may still hold unconsumed data. A send stalled on flow
+// control is not fresh traffic: the flow-control update it waits for
+// may have been lost with the link, so it probes with a flow-control
+// request, which makes the receiver repost both.
 func (s *Sender) probe(done func()) {
-	ring := s.par.RingBytes
-	if s.busy || ring-(s.sent-s.consumed) < frameAlign {
+	if s.busy && !s.resStalled || !s.freshSlotFree() {
 		done()
 		return
 	}
+	if s.busy {
+		s.writeMark(fcMark, done)
+		return
+	}
 	s.stats.Probes++
-	s.ring.Write(s.sent%ring, packHeader(probeMark, s.seq), func(err error) {
-		if err != nil {
-			done()
-			return
+	s.writeMark(probeMark, done)
+}
+
+// freshSlotFree reports whether the slot at the sender's next offset
+// holds no unconsumed data. Flow control may say so; if its updates
+// died with the link, acks still do: everything older than the unacked
+// window has been consumed, so the slot is free when that window and
+// the slot fit in the ring together.
+func (s *Sender) freshSlotFree() bool {
+	ring := s.par.RingBytes
+	if ring-(s.sent-s.consumed) >= frameAlign {
+		return true
+	}
+	window := uint64(frameAlign)
+	for _, f := range s.unacked {
+		if f.wrap {
+			window += ring - f.off
+		} else {
+			window += uint64(len(f.img))
 		}
-		s.ring.Sync(done)
-	})
+	}
+	return window <= ring
 }
 
 // latchDead abandons the channel: the retransmit budget is spent, so
@@ -603,8 +727,8 @@ func (s *Sender) probe(done func()) {
 // came back later means opening a fresh channel.
 func (s *Sender) latchDead() {
 	s.dead = true
-	unacked, queue := s.unacked, s.queue
-	s.unacked, s.queue = nil, nil
+	unacked, queue := s.unacked, s.queue[s.qHead:]
+	s.unacked, s.queue, s.qHead = nil, nil, 0
 	err := s.deadErr()
 	for _, f := range unacked {
 		if f.done != nil {
@@ -658,6 +782,7 @@ type Receiver struct {
 	// duplicate frame cannot make the receiver re-ack unboundedly.
 	lastAckAt  sim.Time
 	ackReposts int
+	lastFCAt   sim.Time // last flow-control repost
 
 	// Poll-loop state. Recv is single-outstanding, so the in-flight
 	// delivery callback and peek position live on the receiver; peekFn
@@ -764,7 +889,7 @@ func (r *Receiver) Recv(cb func([]byte, error)) {
 // onDoorbell runs inside the NB's store-visibility event whenever a
 // write into the ring lands in local DRAM: wake a parked poll loop, or
 // flag an active one so it re-polls before parking.
-func (r *Receiver) onDoorbell() {
+func (r *Receiver) onDoorbell(uint64, int) {
 	if r.parked {
 		r.parked = false
 		r.poll()
@@ -838,9 +963,20 @@ func (r *Receiver) handlePeek(d []byte, err error) {
 			r.repostAck()
 		}
 		r.again()
+	case length == fcMark:
+		// Matching sequence means we have consumed everything the
+		// stalled sender wrote; a mismatch is a request racing newer
+		// frames, which report on their own.
+		if seqDelta(seq, r.expectSeq) == 0 {
+			r.answerFC()
+		}
+		r.again()
 	case length == wrapMark:
-		if seqDelta(seq, r.expectSeq) != 0 {
-			r.again() // stale wrap from a previous lap
+		if d := seqDelta(seq, r.expectSeq); d != 0 {
+			if d < 0 {
+				r.repostAck() // a retransmitted wrap we already passed
+			}
+			r.again()
 			return
 		}
 		r.recvd += ring - off
@@ -851,6 +987,13 @@ func (r *Receiver) handlePeek(d []byte, err error) {
 		switch delta := seqDelta(seq, r.expectSeq+1); {
 		case delta < 0:
 			r.repostAck() // duplicate from a retransmission round
+			r.again()
+		case delta > 0 && r.par.Reliable:
+			// Stale payload, not a frame: a retransmission can rewrite a
+			// frame this receiver already consumed and freed, leaving
+			// payload bytes at slot boundaries the sender's next lap
+			// has not overwritten yet. Go-back-N lands frames in
+			// sequence, so the real header is still on its way.
 			r.again()
 		case delta > 0:
 			r.stats.SeqErrors++
@@ -990,6 +1133,24 @@ func (r *Receiver) repostAck() {
 	r.postAck()
 }
 
+// answerFC answers a stalled sender's flow-control request: post the
+// consumed bytes still below the reporting threshold. With none left
+// to post, a reliable channel's last update may have died with the
+// link, so it is reposted — throttled like acks, since a spinning poll
+// sees the request on every pass — together with the ack.
+func (r *Receiver) answerFC() {
+	if r.fcUnposted > 0 {
+		r.writeFC(func() {})
+		return
+	}
+	if !r.par.Reliable || r.eng.Now()-r.lastFCAt < r.par.AckTimeout/2 {
+		return
+	}
+	r.lastFCAt = r.eng.Now()
+	r.repostAck()
+	r.writeFC(func() {})
+}
+
 // postFC reports consumed bytes to the sender's flow-control slot once
 // the threshold accumulates (or immediately when forced).
 func (r *Receiver) postFC(force bool, done func()) {
@@ -997,6 +1158,12 @@ func (r *Receiver) postFC(force bool, done func()) {
 		done()
 		return
 	}
+	r.writeFC(done)
+}
+
+// writeFC stores the cumulative consumed count into the sender's
+// flow-control slot.
+func (r *Receiver) writeFC(done func()) {
 	r.fcUnposted = 0
 	r.stats.FCUpdates++
 	if r.pfBusy {

@@ -19,7 +19,8 @@ import (
 // message is exactly one write-combined HT packet and one uncached poll
 // read:
 //
-//	bytes 0..3  payload length (0 = empty slot, wrapMark = wrap marker)
+//	bytes 0..3  payload length (0 = empty slot, or a wrap, probe or
+//	            flow-control-request mark)
 //	bytes 4..7  sequence number (continuity check)
 //	bytes 8..   payload, zero-padded to a 64-byte boundary
 //
@@ -37,6 +38,12 @@ const (
 	// sender's latest sequence number, occupy no ring space (the next
 	// real frame overwrites them) and are never delivered.
 	probeMark = 0xFFFFFFFE
+	// fcMark is a flow-control request: a sender stalled on ring bytes
+	// the receiver has consumed but not yet reported (fewer than
+	// FCThreshold) writes one at its next fresh slot to make the
+	// receiver post them. Like probes, requests carry the sender's
+	// latest sequence number and occupy no ring space.
+	fcMark = 0xFFFFFFFD
 )
 
 // Flow-control page layout (one page in the sender's uncachable window,

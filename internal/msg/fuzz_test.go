@@ -39,7 +39,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		// A real payload length must never collide with the reserved
 		// markers the receiver switches on.
-		if length == wrapMark || length == probeMark {
+		if length == wrapMark || length == probeMark || length == fcMark {
 			t.Fatalf("payload length %#x collides with a reserved marker", length)
 		}
 		if !bytes.Equal(frame[headerBytes:headerBytes+len(payload)], payload) {
@@ -60,12 +60,13 @@ func FuzzFrameRoundTrip(f *testing.F) {
 // FuzzHeaderClassification feeds arbitrary 8-byte headers through the
 // same classification the receiver's peek path applies and checks the
 // categories are exhaustive and mutually exclusive: empty slot, wrap
-// marker, ack probe, or a data frame whose length either fits the ring
+// marker, ack probe, flow-control request, or a data frame whose length either fits the ring
 // or is rejected as corrupt. None of the decisions may panic.
 func FuzzHeaderClassification(f *testing.F) {
 	f.Add(uint64(0))
 	f.Add(uint64(wrapMark))
 	f.Add(uint64(probeMark) | 7<<32)
+	f.Add(uint64(fcMark) | 3<<32)
 	f.Add(uint64(64) | 99<<32)
 	f.Add(^uint64(0))
 	f.Fuzz(func(t *testing.T, raw uint64) {
@@ -80,6 +81,7 @@ func FuzzHeaderClassification(f *testing.F) {
 		case length == 0: // empty slot: the poll spins
 		case length == wrapMark: // wrap marker: jump to ring start
 		case length == probeMark: // ack probe: repost the cumulative ack
+		case length == fcMark: // flow-control request: post consumed bytes
 		case uint64(length) <= ring-2*headerBytes:
 			// Plausible data frame; its footprint must fit the ring, or
 			// the flow-control invariant is broken.

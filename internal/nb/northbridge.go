@@ -129,10 +129,8 @@ type Northbridge struct {
 	cnt   counters
 
 	coherency   CoherencyHook
-	onWrite     func(addr uint64, n int) // local-DRAM store visibility hook
-	watches     []writeWatch             // doorbell ranges (see WatchWrites)
-	onBroadcast func(p *ht.Packet)       // delivered broadcast (interrupts)
-	log         func(string)
+	watches     []writeWatch       // store-visibility watches (see WatchWrites)
+	onBroadcast func(p *ht.Packet) // delivered broadcast (interrupts)
 	tracer      trace.Tracer
 	traceID     int
 	prof        *prof.NodeProf
@@ -353,25 +351,21 @@ func (n *Northbridge) MatchTable() *MatchTable { return n.match }
 // SetCoherencyHook installs the coherence-protocol observer.
 func (n *Northbridge) SetCoherencyHook(h CoherencyHook) { n.coherency = h }
 
-// SetWriteHook installs a callback fired when a store becomes visible in
-// local DRAM. The CPU/polling model uses it to wake pollers.
-func (n *Northbridge) SetWriteHook(fn func(addr uint64, nBytes int)) { n.onWrite = fn }
-
-// writeWatch is one registered doorbell range: fn fires whenever a
-// store overlapping [lo, hi) (global physical addresses) becomes
-// visible in this node's DRAM. A nil fn marks a free slot.
+// writeWatch is one registered watch range: fn fires whenever a store
+// overlapping [lo, hi) (global physical addresses) becomes visible in
+// this node's DRAM. A nil fn marks a free slot.
 type writeWatch struct {
 	lo, hi uint64
-	fn     func()
+	fn     func(addr uint64, nBytes int)
 }
 
-// WatchWrites registers a doorbell on [lo, hi): fn fires, inside the
-// store's visibility event, every time a write overlapping the range
-// lands in local DRAM. Unlike the single write hook (SetWriteHook),
-// watches are a registry — one per message-channel ring — and carry no
-// address payload: a doorbell only says "look at your ring". It
-// returns an id for Unwatch.
-func (n *Northbridge) WatchWrites(lo, hi uint64, fn func()) int {
+// WatchWrites registers a watch on [lo, hi): fn fires, inside the
+// store's visibility event, with the store's address and size every
+// time a write overlapping the range lands in local DRAM. The message
+// layer's doorbells watch one ring each; landing-time measurements
+// watch the whole address space (lo 0, hi math.MaxUint64). It returns
+// an id for Unwatch.
+func (n *Northbridge) WatchWrites(lo, hi uint64, fn func(addr uint64, nBytes int)) int {
 	for i := range n.watches {
 		if n.watches[i].fn == nil {
 			n.watches[i] = writeWatch{lo: lo, hi: hi, fn: fn}
@@ -382,21 +376,20 @@ func (n *Northbridge) WatchWrites(lo, hi uint64, fn func()) int {
 	return len(n.watches) - 1
 }
 
-// Unwatch removes a doorbell registered with WatchWrites.
+// Unwatch removes a watch registered with WatchWrites.
 func (n *Northbridge) Unwatch(id int) {
 	if id >= 0 && id < len(n.watches) {
 		n.watches[id] = writeWatch{}
 	}
 }
 
-// notifyWatches rings every doorbell whose range a visible store
-// touches.
+// notifyWatches fires every watch whose range a visible store touches.
 func (n *Northbridge) notifyWatches(addr uint64, nBytes int) {
 	end := addr + uint64(nBytes)
 	for i := range n.watches {
 		w := &n.watches[i]
 		if w.fn != nil && addr < w.hi && end > w.lo {
-			w.fn()
+			w.fn(addr, nBytes)
 		}
 	}
 }
@@ -404,9 +397,6 @@ func (n *Northbridge) notifyWatches(addr uint64, nBytes int) {
 // SetBroadcastHook installs the local broadcast consumer (the kernel's
 // interrupt entry point).
 func (n *Northbridge) SetBroadcastHook(fn func(*ht.Packet)) { n.onBroadcast = fn }
-
-// SetLog installs a diagnostic logger.
-func (n *Northbridge) SetLog(fn func(string)) { n.log = fn }
 
 // SetTracer installs the cluster-wide observability tracer, identifying
 // this northbridge as Node=id in emitted events. Nil disables tracing;
@@ -429,12 +419,6 @@ func (n *Northbridge) SetProfiler(np *prof.NodeProf) {
 		// Memory-controller fast path: an uncontended 64-byte access.
 		n.mc.profD = n.mc.xferTime(64) + n.mc.par.AccessLatency
 		np.SetConst(prof.NodeMemService, n.mc.profD)
-	}
-}
-
-func (n *Northbridge) logf(format string, args ...interface{}) {
-	if n.log != nil {
-		n.log(n.name + ": " + fmt.Sprintf(format, args...))
 	}
 }
 
@@ -617,7 +601,6 @@ func (n *Northbridge) handleRequest(fromLink int, pkt *ht.Packet, done func()) {
 				Node: n.traceID, Link: -1, Label: pkt.String(),
 			})
 		}
-		n.logf("master abort: %v", pkt)
 		pkt.Accept() // never hold a WC buffer hostage to a decode fault
 		if done != nil {
 			done()
@@ -695,7 +678,6 @@ func (n *Northbridge) dramAccess(rec *nbRec) {
 	default:
 		n.putRec(rec)
 		n.cnt.masterAborts.Add(1)
-		n.logf("unhandled request %v at DRAM", pkt)
 		if done != nil {
 			done()
 		}
@@ -709,26 +691,15 @@ func (n *Northbridge) writeVisible(rec *nbRec, err error) {
 	n.putRec(rec)
 	if err != nil {
 		n.cnt.masterAborts.Add(1)
-		n.logf("DRAM write fault at %#x: %v", addr, err)
-	} else {
-		if n.onWrite != nil {
-			n.onWrite(addr, nBytes)
-		}
-		if len(n.watches) > 0 {
-			n.notifyWatches(addr, nBytes)
-		}
+	} else if len(n.watches) > 0 {
+		n.notifyWatches(addr, nBytes)
 	}
 }
 
 // npWriteVisible completes a non-posted write: answer with TgtDone.
 func (n *Northbridge) npWriteVisible(rec *nbRec, err error) {
-	if err == nil {
-		if n.onWrite != nil {
-			n.onWrite(rec.addr, rec.nBytes)
-		}
-		if len(n.watches) > 0 {
-			n.notifyWatches(rec.addr, rec.nBytes)
-		}
+	if err == nil && len(n.watches) > 0 {
+		n.notifyWatches(rec.addr, rec.nBytes)
 	}
 	resp := n.pool.TgtDone(rec.tag)
 	resp.SrcNode = int(n.nodeID)
@@ -746,11 +717,10 @@ func (n *Northbridge) npWriteVisible(rec *nbRec, err error) {
 // whatever callback the matching table holds, so recycling the packet
 // detaches it (ownership travels on with the data).
 func (n *Northbridge) dramReadDone(rec *nbRec, data []byte, err error) {
-	addr, done := rec.addr, rec.done
+	done := rec.done
 	if err != nil {
 		n.putRec(rec)
 		n.cnt.masterAborts.Add(1)
-		n.logf("DRAM read fault at %#x: %v", addr, err)
 		if done != nil {
 			done()
 		}
@@ -778,7 +748,6 @@ func (n *Northbridge) routeResponse(resp *ht.Packet) {
 	if uint8(resp.DstNode) == n.nodeID {
 		if err := n.match.Complete(resp); err != nil {
 			n.cnt.orphanResponses.Add(1)
-			n.logf("%v", err)
 		}
 		// Terminal: the matching callback has consumed the response.
 		// Read responses adopted their payload, so recycling returns
@@ -846,7 +815,6 @@ func (n *Northbridge) forward(fromLink, idx int, pkt *ht.Packet, done func()) {
 	}
 	if idx < 0 || idx >= MaxLinks || n.links[idx] == nil {
 		n.cnt.deadLinkDrops.Add(1)
-		n.logf("drop %v: egress link %d not wired", pkt, idx)
 		if accept != nil {
 			accept()
 		}
@@ -866,7 +834,6 @@ func (n *Northbridge) forward(fromLink, idx int, pkt *ht.Packet, done func()) {
 				Node: n.traceID, Link: idx, Label: pkt.String(),
 			})
 		}
-		n.logf("drop %v: %v", pkt, err)
 		pkt.Accept()
 		n.recycle(pkt) // terminal: dropped
 	} else {

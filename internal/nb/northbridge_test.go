@@ -2,6 +2,7 @@ package nb
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -152,7 +153,7 @@ func TestRemoteWriteBothDirections(t *testing.T) {
 func TestRemoteWriteOneWayLatency(t *testing.T) {
 	p := newTCPair(t)
 	var landed sim.Time
-	p.b.SetWriteHook(func(addr uint64, n int) { landed = p.eng.Now() })
+	p.b.WatchWrites(0, math.MaxUint64, func(uint64, int) { landed = p.eng.Now() })
 	start := p.eng.Now()
 	p.a.CPUWrite(nodeMem+0x40, make([]byte, 64), true, func(error) {})
 	p.eng.Run()
@@ -302,8 +303,8 @@ func TestMultiHopForwardingAndLatencyAdder(t *testing.T) {
 	must(t, nodes[2].SetMMIORange(0, MMIORange{Base: 0, Limit: base(2) - 1, DstNode: 0, DstLink: 0, RE: true, WE: true}))
 
 	var landB, landC sim.Time
-	nodes[1].SetWriteHook(func(uint64, int) { landB = eng.Now() })
-	nodes[2].SetWriteHook(func(uint64, int) { landC = eng.Now() })
+	nodes[1].WatchWrites(0, math.MaxUint64, func(uint64, int) { landB = eng.Now() })
+	nodes[2].WatchWrites(0, math.MaxUint64, func(uint64, int) { landC = eng.Now() })
 
 	start := eng.Now()
 	nodes[0].CPUWrite(base(1)+0x40, make([]byte, 64), true, func(error) {})
@@ -462,7 +463,6 @@ func TestCoherencyHookInvokedAndCounted(t *testing.T) {
 	p := newTCPair(t)
 	hook := &stubHook{}
 	p.b.SetCoherencyHook(hook)
-	p.b.SetLog(func(string) {}) // exercise the logger plumbing
 	p.a.CPUWrite(nodeMem+0x40, []byte{1, 2, 3, 4}, true, func(error) {})
 	p.eng.Run()
 	if hook.writes != 1 {
@@ -504,5 +504,32 @@ func TestRegisterReadbacksAndName(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q", k, k.String())
 		}
+	}
+}
+
+// TestWatchWritesRangeAndPayload checks the store-visibility watch
+// registry: a watch fires with the store's address and size only for
+// stores overlapping its range, and stops firing once removed.
+func TestWatchWritesRangeAndPayload(t *testing.T) {
+	p := newTCPair(t)
+	type hit struct {
+		addr uint64
+		n    int
+	}
+	var hits []hit
+	id := p.b.WatchWrites(nodeMem+0x40, nodeMem+0x80, func(addr uint64, n int) {
+		hits = append(hits, hit{addr, n})
+	})
+	p.a.CPUWrite(nodeMem+0x40, make([]byte, 64), true, func(error) {})
+	p.a.CPUWrite(nodeMem+0x100, make([]byte, 64), true, func(error) {})
+	p.eng.Run()
+	if len(hits) != 1 || hits[0] != (hit{nodeMem + 0x40, 64}) {
+		t.Fatalf("watch hits = %+v, want one 64-byte store at %#x", hits, nodeMem+0x40)
+	}
+	p.b.Unwatch(id)
+	p.a.CPUWrite(nodeMem+0x40, make([]byte, 8), true, func(error) {})
+	p.eng.Run()
+	if len(hits) != 1 {
+		t.Errorf("removed watch fired again: %+v", hits)
 	}
 }

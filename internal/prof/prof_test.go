@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestHistObserveAndSnapshot checks a node phase's histogram path:
@@ -220,17 +221,26 @@ func TestSummaryBudgetAndCriticalPath(t *testing.T) {
 		}
 	}
 
-	var prom strings.Builder
-	if err := s.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
+	m := p.Metrics()
+	if h := m.Histograms[trace.Key{Name: "prof.link.ser_ps", Link: 1}]; h.Count != 1 || h.Sum != 30_000 {
+		t.Errorf("link 1 ser histogram = %+v, want one 30000ps observation", h)
 	}
-	for _, want := range []string{
-		`tcc_prof_phase_ps{link="1",phase="link.ser",quantile="0.99"}`,
-		`tcc_prof_phase_ps_count{node="0",phase="mem.service"} 1`,
-	} {
-		if !strings.Contains(prom.String(), want) {
-			t.Errorf("prometheus output missing %q:\n%s", want, prom.String())
+	if h := m.Histograms[trace.Key{Name: "prof.mem.service_ps", Node: 0}]; h.Count != 1 {
+		t.Errorf("node 0 mem.service histogram = %+v, want one observation", h)
+	}
+	if want := 2*int(NumLinkPhases) + int(NumNodePhases); len(m.Histograms) != want || len(m.Counters) != 0 {
+		t.Errorf("metrics = %d histograms, %d counters; want %d phase histograms and no PDES series",
+			len(m.Histograms), len(m.Counters), want)
+	}
+	p.SetParallelStats(sim.NewParallelStats(2))
+	m = p.Metrics()
+	for _, k := range []trace.Key{{Name: "prof.pdes.windows"}, {Name: "prof.pdes.dirty_flips"}} {
+		if _, ok := m.Counters[k]; !ok {
+			t.Errorf("PDES counter %v missing", k)
 		}
+	}
+	if _, ok := m.Gauges[trace.Key{Name: "prof.pdes.partition_busy_ms", Node: 1}]; !ok {
+		t.Error("partition 1 busy gauge missing")
 	}
 }
 

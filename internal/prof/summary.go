@@ -3,10 +3,13 @@ package prof
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/hist"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // PhaseStats is one phase's aggregate in a summary. Virtual-time
@@ -167,8 +170,8 @@ func (p *Profiler) Summary() Summary {
 	return out
 }
 
-// fmtPS renders picoseconds with an adaptive unit.
-func fmtPS(ps float64) string {
+// FormatPS renders picoseconds with an adaptive unit.
+func FormatPS(ps float64) string {
 	switch {
 	case ps >= 1e6:
 		return fmt.Sprintf("%.2fus", ps/1e6)
@@ -183,153 +186,115 @@ func fmtPS(ps float64) string {
 // the cluster-wide phase table, the critical-path ranking, and the
 // PDES accounting when present. The budget and critical-path sections
 // are deterministic; the PDES section carries wall-clock numbers.
-func (s *Summary) WriteText(w io.Writer) error {
-	ew := &errWriter{w: w}
+func (s *Summary) WriteText(w io.Writer) (err error) {
+	var out strings.Builder
+	defer func() { _, err = io.WriteString(w, out.String()) }()
 	if len(s.Budget) == 0 {
-		ew.printf("profile: no observations\n")
-		return ew.err
+		out.WriteString("profile: no observations\n")
+		return
 	}
 	var total uint64
 	for _, ph := range s.Budget {
 		total += ph.TotalPS
 	}
-	ew.printf("latency budget (per-phase, cluster-wide):\n")
-	ew.printf("  %-12s %12s %10s %10s %10s %7s\n", "phase", "count", "mean", "p50", "p99", "share")
+	fmt.Fprintf(&out, "latency budget (per-phase, cluster-wide):\n")
+	fmt.Fprintf(&out, "  %-12s %12s %10s %10s %10s %7s\n", "phase", "count", "mean", "p50", "p99", "share")
 	for _, ph := range s.Budget {
 		share := 0.0
 		if total > 0 {
 			share = 100 * float64(ph.TotalPS) / float64(total)
 		}
-		ew.printf("  %-12s %12d %10s %10s %10s %6.1f%%\n",
-			ph.Phase, ph.Count, fmtPS(ph.MeanPS), fmtPS(ph.P50PS), fmtPS(ph.P99PS), share)
+		fmt.Fprintf(&out, "  %-12s %12d %10s %10s %10s %6.1f%%\n",
+			ph.Phase, ph.Count, FormatPS(ph.MeanPS), FormatPS(ph.P50PS), FormatPS(ph.P99PS), share)
 	}
 	if len(s.CriticalPath) > 0 {
-		ew.printf("critical path (links by attributed time):\n")
+		fmt.Fprintf(&out, "critical path (links by attributed time):\n")
 		for _, hop := range s.CriticalPath {
-			ew.printf("  link %-3d %10s %6.1f%%  dominant %s\n",
-				hop.Link, fmtPS(float64(hop.TotalPS)), hop.SharePct, hop.Dominant)
+			fmt.Fprintf(&out, "  link %-3d %10s %6.1f%%  dominant %s\n",
+				hop.Link, FormatPS(float64(hop.TotalPS)), hop.SharePct, hop.Dominant)
 		}
 	}
 	if s.PDES != nil {
-		ew.printf("pdes: %d windows, occupancy %.2f, imbalance %.2f, serial %.2fms, span %.2fms\n",
+		fmt.Fprintf(&out, "pdes: %d windows, occupancy %.2f, imbalance %.2f, serial %.2fms, span %.2fms\n",
 			s.PDES.Windows, s.PDES.Occupancy, s.PDES.Imbalance, s.PDES.SerialMS, s.PDES.SpanMS)
 		if s.PDES.Partitioner != "" {
-			ew.printf("  cut: %s, %d links crossing, weight %.3f\n",
+			fmt.Fprintf(&out, "  cut: %s, %d links crossing, weight %.3f\n",
 				s.PDES.Partitioner, s.PDES.CutLinks, s.PDES.CutWeight)
 		}
-		ew.printf("  windows: %d dirty flips, %d widened past 2x lookahead, mean width %.1fns\n",
+		fmt.Fprintf(&out, "  windows: %d dirty flips, %d widened past 2x lookahead, mean width %.1fns\n",
 			s.PDES.DirtyFlips, s.PDES.WideWindows, s.PDES.MeanWindowNs)
 		for _, b := range s.PDES.WindowWidthHist {
 			if b.UpToNs >= 1e15 {
 				// The overflow bucket: fast-forward windows bounded only
 				// by the run deadline, not by any peer.
-				ew.printf("    width unbounded: %d\n", b.Count)
+				fmt.Fprintf(&out, "    width unbounded: %d\n", b.Count)
 				continue
 			}
-			ew.printf("    width <= %.1fns: %d\n", b.UpToNs, b.Count)
+			fmt.Fprintf(&out, "    width <= %.1fns: %d\n", b.UpToNs, b.Count)
 		}
 		for _, ps := range s.PDES.Partitions {
-			ew.printf("  partition %d: %d events, busy %.2fms, barrier wait %.2fms, %d active windows\n",
+			fmt.Fprintf(&out, "  partition %d: %d events, busy %.2fms, barrier wait %.2fms, %d active windows\n",
 				ps.Partition, ps.Events, ps.BusyMS, ps.BarrierWaitMS, ps.ActiveWindows)
 		}
 	}
-	return ew.err
+	return
 }
 
-// WritePrometheus renders the summary in Prometheus text exposition
-// format: per-link and per-node phase summaries plus PDES gauges.
-func (s *Summary) WritePrometheus(w io.Writer) error {
-	ew := &errWriter{w: w}
-	ew.printf("# HELP tcc_prof_phase_ps phase latency attribution (picoseconds)\n")
-	ew.printf("# TYPE tcc_prof_phase_ps summary\n")
-	emit := func(scope string, id int, ph PhaseStats) {
-		labels := fmt.Sprintf(`%s="%d",phase=%q`, scope, id, ph.Phase)
-		ew.printf("tcc_prof_phase_ps{%s,quantile=\"0.5\"} %g\n", labels, ph.P50PS)
-		ew.printf("tcc_prof_phase_ps{%s,quantile=\"0.99\"} %g\n", labels, ph.P99PS)
-		ew.printf("tcc_prof_phase_ps_sum{%s} %d\n", labels, ph.TotalPS)
-		ew.printf("tcc_prof_phase_ps_count{%s} %d\n", labels, ph.Count)
+// Metrics renders the per-link and per-node phase histograms and the
+// PDES accounting as a trace.Snapshot, the shape monitor.WritePrometheus
+// exposes on /profile?format=prometheus. Every phase of every link and
+// node is present from the start, empty or not, so a scrape never
+// misses a series. A phase histogram is named prof.<phase>_ps and
+// scoped to its link (prof.link.ser_ps, Link i) or node
+// (prof.nb.xbar_ps, Node i). PDES series are prof.pdes.*: per
+// partition ones carry the partition in Node, mailbox_posts the
+// consumer partition in Link, and windows_by_width the bit length of
+// the window width in picoseconds in Chan. The snapshot stays out of
+// Cluster.Metrics, so profiling never changes that call's counters.
+func (p *Profiler) Metrics() trace.Snapshot {
+	s := trace.NewSnapshot()
+	if p == nil {
+		return s
 	}
-	for _, ls := range s.Links {
-		for _, ph := range ls.Phases {
-			emit("link", ls.Link, ph)
-		}
-	}
-	for _, ns := range s.Nodes {
-		for _, ph := range ns.Phases {
-			emit("node", ns.Node, ph)
+	for i := range p.links {
+		for ph := LinkPhase(0); ph < NumLinkPhases; ph++ {
+			s.Histograms[trace.Key{Name: "prof." + ph.String() + "_ps", Link: i}] = p.links[i].Phase(ph)
 		}
 	}
-	if p := s.PDES; p != nil {
-		ew.printf("# HELP tcc_prof_pdes_windows windows executed\n")
-		ew.printf("# TYPE tcc_prof_pdes_windows counter\n")
-		ew.printf("tcc_prof_pdes_windows %d\n", p.Windows)
-		ew.printf("# HELP tcc_prof_pdes_occupancy busy time over span x partitions\n")
-		ew.printf("# TYPE tcc_prof_pdes_occupancy gauge\n")
-		ew.printf("tcc_prof_pdes_occupancy %g\n", p.Occupancy)
-		ew.printf("# HELP tcc_prof_pdes_imbalance max over mean partition busy time\n")
-		ew.printf("# TYPE tcc_prof_pdes_imbalance gauge\n")
-		ew.printf("tcc_prof_pdes_imbalance %g\n", p.Imbalance)
-		ew.printf("# HELP tcc_prof_pdes_partition_busy_ms cumulative busy wall time\n")
-		ew.printf("# TYPE tcc_prof_pdes_partition_busy_ms gauge\n")
-		for _, ps := range p.Partitions {
-			ew.printf("tcc_prof_pdes_partition_busy_ms{partition=\"%d\"} %g\n", ps.Partition, ps.BusyMS)
+	for i := range p.nodes {
+		for ph := NodePhase(0); ph < NumNodePhases; ph++ {
+			s.Histograms[trace.Key{Name: "prof." + ph.String() + "_ps", Node: i}] = p.nodes[i].Phase(ph)
 		}
-		ew.printf("# HELP tcc_prof_pdes_partition_barrier_wait_ms cumulative barrier wait\n")
-		ew.printf("# TYPE tcc_prof_pdes_partition_barrier_wait_ms gauge\n")
-		for _, ps := range p.Partitions {
-			ew.printf("tcc_prof_pdes_partition_barrier_wait_ms{partition=\"%d\"} %g\n", ps.Partition, ps.BarrierWaitMS)
-		}
-		ew.printf("# HELP tcc_prof_pdes_dirty_flips mailbox flips performed (dirty set)\n")
-		ew.printf("# TYPE tcc_prof_pdes_dirty_flips counter\n")
-		ew.printf("tcc_prof_pdes_dirty_flips %d\n", p.DirtyFlips)
-		ew.printf("# HELP tcc_prof_pdes_wide_windows windows widened past 2x lookahead\n")
-		ew.printf("# TYPE tcc_prof_pdes_wide_windows counter\n")
-		ew.printf("tcc_prof_pdes_wide_windows %d\n", p.WideWindows)
-		ew.printf("# HELP tcc_prof_pdes_mean_window_ns mean bounded window width (virtual ns)\n")
-		ew.printf("# TYPE tcc_prof_pdes_mean_window_ns gauge\n")
-		ew.printf("tcc_prof_pdes_mean_window_ns %g\n", p.MeanWindowNs)
-		if len(p.WindowWidthHist) > 0 {
-			ew.printf("# HELP tcc_prof_pdes_window_width_ns window width histogram (virtual ns, log2 buckets)\n")
-			ew.printf("# TYPE tcc_prof_pdes_window_width_ns histogram\n")
-			cum := uint64(0)
-			for _, b := range p.WindowWidthHist {
-				cum += b.Count
-				ew.printf("tcc_prof_pdes_window_width_ns_bucket{le=\"%g\"} %d\n", b.UpToNs, cum)
-			}
-			ew.printf("tcc_prof_pdes_window_width_ns_bucket{le=\"+Inf\"} %d\n", cum)
-			ew.printf("tcc_prof_pdes_window_width_ns_count %d\n", cum)
-		}
-		if p.Partitioner != "" {
-			ew.printf("# HELP tcc_prof_pdes_cut_links external links crossing the partition cut\n")
-			ew.printf("# TYPE tcc_prof_pdes_cut_links gauge\n")
-			ew.printf("tcc_prof_pdes_cut_links{partitioner=%q} %d\n", p.Partitioner, p.CutLinks)
-			ew.printf("# HELP tcc_prof_pdes_cut_weight total affinity weight of cut links\n")
-			ew.printf("# TYPE tcc_prof_pdes_cut_weight gauge\n")
-			ew.printf("tcc_prof_pdes_cut_weight{partitioner=%q} %g\n", p.Partitioner, p.CutWeight)
-		}
-		ew.printf("# HELP tcc_prof_pdes_mailbox_posts cross-partition events published\n")
-		ew.printf("# TYPE tcc_prof_pdes_mailbox_posts counter\n")
-		for i, row := range p.MailboxPosts {
-			for j, n := range row {
-				if n > 0 {
-					ew.printf("tcc_prof_pdes_mailbox_posts{from=\"%d\",to=\"%d\"} %d\n", i, j, n)
-				}
+	}
+	if p.pstats == nil {
+		return s
+	}
+	d := p.pstats.Summary()
+	key := func(name string) trace.Key { return trace.Key{Name: "prof.pdes." + name} }
+	s.Counters[key("windows")] = d.Windows
+	s.Counters[key("dirty_flips")] = d.DirtyFlips
+	s.Counters[key("wide_windows")] = d.WideWindows
+	s.Gauges[key("occupancy")] = d.Occupancy
+	s.Gauges[key("imbalance")] = d.Imbalance
+	s.Gauges[key("mean_window_ns")] = d.MeanWindowNs
+	if d.Partitioner != "" {
+		s.Gauges[key("cut_links")] = float64(d.CutLinks)
+		s.Gauges[key("cut_weight")] = d.CutWeight
+	}
+	for _, ps := range d.Partitions {
+		s.Gauges[trace.Key{Name: "prof.pdes.partition_busy_ms", Node: ps.Partition}] = ps.BusyMS
+		s.Gauges[trace.Key{Name: "prof.pdes.partition_barrier_wait_ms", Node: ps.Partition}] = ps.BarrierWaitMS
+	}
+	for from, row := range d.MailboxPosts {
+		for to, n := range row {
+			if n > 0 {
+				s.Counters[trace.Key{Name: "prof.pdes.mailbox_posts", Node: from, Link: to}] = n
 			}
 		}
 	}
-	return ew.err
-}
-
-// errWriter latches the first write error so rendering stays
-// branch-free (the monitor package uses the same shape).
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err != nil {
-		return
+	for _, b := range d.WindowWidthHist {
+		bits := int(math.Round(math.Log2(b.UpToNs * 1e3)))
+		s.Counters[trace.Key{Name: "prof.pdes.windows_by_width", Chan: bits}] = b.Count
 	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
+	return s
 }

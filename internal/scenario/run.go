@@ -11,8 +11,9 @@ import (
 )
 
 // Result summarizes one scenario run with the quantities the
-// determinism gates compare: total events fired and the final virtual
-// time across every cluster the scenario built.
+// determinism gates compare: total events fired, the final virtual
+// time and a digest of the hardware counters across every cluster the
+// scenario built.
 type Result struct {
 	// EventsFired sums the event counts of all clusters.
 	EventsFired uint64 `json:"events_fired"`
@@ -21,6 +22,11 @@ type Result struct {
 	FinalVirtualPS int64 `json:"final_virtual_ps"`
 	// Clusters is how many clusters the run booted.
 	Clusters int `json:"clusters"`
+	// CounterDigest sums (mod 2^64) every cluster's
+	// Cluster.CountersDigest: the link port and northbridge counters, so
+	// a change in traffic that leaves event counts and virtual time
+	// alone still shows.
+	CounterDigest uint64 `json:"counter_digest"`
 	// Profile is the primary cluster's profiling summary, present only
 	// when the spec carried a profile block. The budget and critical-
 	// path sections are deterministic in virtual time; the PDES section
@@ -30,13 +36,14 @@ type Result struct {
 }
 
 // Fingerprint compares the deterministic portion of two results: event
-// counts, final virtual time and cluster count, ignoring the profile
-// (whose PDES section is wall-clock). The tccrun -check twin comparison
-// and the determinism gates use it.
+// counts, final virtual time, cluster count and counter digest,
+// ignoring the profile (whose PDES section is wall-clock). The tccrun
+// -check twin comparison and the determinism gates use it.
 func (r *Result) Fingerprint(other *Result) bool {
 	return r.EventsFired == other.EventsFired &&
 		r.FinalVirtualPS == other.FinalVirtualPS &&
-		r.Clusters == other.Clusters
+		r.Clusters == other.Clusters &&
+		r.CounterDigest == other.CounterDigest
 }
 
 // workloadDef describes one registered workload kind.
@@ -202,6 +209,7 @@ func (rc *runCtx) result() *Result {
 	r := &Result{Clusters: len(rc.clusters)}
 	for _, c := range rc.clusters {
 		r.EventsFired += c.EventsFired()
+		r.CounterDigest += c.CountersDigest()
 		if ps := int64(c.Now()); ps > r.FinalVirtualPS {
 			r.FinalVirtualPS = ps
 		}

@@ -12,7 +12,7 @@ import (
 
 // Key identifies one metric instance: a name plus the node / link /
 // channel it is scoped to. Unused dimensions stay zero; by convention
-// names are dotted ("link.pkts_sent", "mpi.barrier_ps").
+// names are dotted ("port.pkts_sent", "mpi.barrier_ps").
 type Key struct {
 	Name string
 	Node int // supernode or rank, 0 when unscoped
@@ -150,24 +150,28 @@ func (s Snapshot) Merge(other Snapshot) {
 	}
 }
 
-// Keys returns every counter key in deterministic order (for rendering).
-func (s Snapshot) Keys() []Key {
-	keys := make([]Key, 0, len(s.Counters))
-	for k := range s.Counters {
+// Less orders keys by name, then node, link and channel: the one
+// deterministic order every renderer and the watchdog use.
+func (k Key) Less(o Key) bool {
+	if k.Name != o.Name {
+		return k.Name < o.Name
+	}
+	if k.Node != o.Node {
+		return k.Node < o.Node
+	}
+	if k.Link != o.Link {
+		return k.Link < o.Link
+	}
+	return k.Chan < o.Chan
+}
+
+// SortedKeys returns m's keys in Less order, so every rendering of the
+// same state is byte-identical.
+func SortedKeys[V any](m map[Key]V) []Key {
+	keys := make([]Key, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Link != b.Link {
-			return a.Link < b.Link
-		}
-		return a.Chan < b.Chan
-	})
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 	return keys
 }

@@ -197,8 +197,6 @@ func (c *Collector) observe(ev Event) {
 	c.metrics.Counter(Key{Name: "events." + ev.Kind.String()}).Add(1)
 	switch ev.Kind {
 	case KindPacketSent:
-		c.metrics.Counter(Key{Name: "link.pkts_sent", Link: ev.Link}).Add(1)
-		c.metrics.Counter(Key{Name: "link.bytes_sent", Link: ev.Link}).Add(uint64(ev.Bytes))
 		c.inFlight[flightKey{ev.Link, ev.Src, ev.Seq}] = ev.At
 	case KindPacketDelivered:
 		k := flightKey{ev.Link, ev.Src, ev.Seq}
@@ -207,8 +205,6 @@ func (c *Collector) observe(ev Event) {
 			c.metrics.Histogram(Key{Name: "link.packet_latency_ps", Link: ev.Link}).
 				Observe(uint64(ev.At - t0))
 		}
-	case KindCreditStall:
-		c.metrics.Counter(Key{Name: "link.credit_stalls", Link: ev.Link}).Add(1)
 	case KindRingFull:
 		c.metrics.Counter(Key{Name: "chan.ring_full", Node: ev.Src, Chan: ev.Dst}).Add(1)
 	case KindBarrierEnter:

@@ -42,8 +42,8 @@ func TestCollectorDerivesLatencyHistogram(t *testing.T) {
 	if h.Count != 1 || h.Sum != 4000 || h.Min != 4000 || h.Max != 4000 {
 		t.Fatalf("histogram = %+v, want one 4000ps observation", h)
 	}
-	if snap.Counters[Key{Name: "link.pkts_sent", Link: 2}] != 1 {
-		t.Fatal("pkts_sent counter missing")
+	if snap.Counters[Key{Name: "events.packet-sent"}] != 1 {
+		t.Fatal("packet-sent event counter missing")
 	}
 }
 
@@ -183,7 +183,7 @@ func TestSnapshotMergeAndKeys(t *testing.T) {
 	other := NewSnapshot()
 	other.Counters[Key{Name: "c"}] = 9
 	s.Merge(other)
-	keys := s.Keys()
+	keys := SortedKeys(s.Counters)
 	if len(keys) != 3 || keys[0].Name != "a" || keys[2].Name != "c" {
 		t.Fatalf("keys = %v", keys)
 	}

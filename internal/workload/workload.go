@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -129,15 +130,16 @@ func Run(c *core.Cluster, pat Pattern, flowsPerNode, bytesPerFlow int) (Result, 
 	total := len(flows) * bytesPerFlow
 
 	// Count landed bytes at every socket of every node. On parallel
-	// clusters the hooks fire concurrently from partition workers, so the
-	// totals are atomics and each hook reads its own node's clock.
+	// clusters the watches fire concurrently from partition workers, so
+	// the totals are atomics and each watch reads its own node's clock.
 	var landed atomic.Int64
 	var lastLand atomic.Int64
+	var unwatch []func()
 	for _, node := range c.Nodes() {
 		node := node
-		m := node.Machine()
-		for s := range m.Procs {
-			m.Procs[s].NB.SetWriteHook(func(_ uint64, nBytes int) {
+		for _, p := range node.Machine().Procs {
+			nbr := p.NB
+			id := nbr.WatchWrites(0, math.MaxUint64, func(_ uint64, nBytes int) {
 				landed.Add(int64(nBytes))
 				now := int64(node.Now())
 				for {
@@ -147,14 +149,12 @@ func Run(c *core.Cluster, pat Pattern, flowsPerNode, bytesPerFlow int) (Result, 
 					}
 				}
 			})
+			unwatch = append(unwatch, func() { nbr.Unwatch(id) })
 		}
 	}
 	defer func() {
-		for _, node := range c.Nodes() {
-			m := node.Machine()
-			for s := range m.Procs {
-				m.Procs[s].NB.SetWriteHook(nil)
-			}
+		for _, u := range unwatch {
+			u()
 		}
 	}()
 

@@ -148,7 +148,7 @@ type (
 	// ProfileSummary is the renderable latency budget a profiled run
 	// produces: per-phase histograms, per-link/per-node breakdowns, the
 	// critical-path ranking and (parallel runs) PDES accounting. It
-	// marshals to JSON and renders with WriteText/WritePrometheus.
+	// marshals to JSON and renders with WriteText.
 	ProfileSummary = prof.Summary
 	// ProfilePhaseStats is one phase's aggregate inside a
 	// ProfileSummary.
@@ -548,14 +548,7 @@ func New(topo *Topology, cfg Config, opts ...Option) (*Cluster, error) {
 		c.SetActionSource(inj)
 	}
 	if b.monitorOn {
-		mopts := append([]MonitorOption{
-			monitor.WithLinkStatus(func() []monitor.LinkStatus {
-				return monitorLinkStatuses(c)
-			}),
-			monitor.WithTracer(b.cfg.Tracer),
-			monitor.WithProfiler(b.cfg.Profiler),
-		}, b.monitorOpts...)
-		cl.mon = monitor.New(c, mopts...)
+		cl.mon = monitor.New(c, b.monitorOpts...)
 		c.SetSampleHook(cl.mon.Interval(), cl.mon.OnSample)
 		if b.monitorAddr != "" {
 			if err := cl.mon.Serve(b.monitorAddr); err != nil {
@@ -564,18 +557,6 @@ func New(topo *Topology, cfg Config, opts ...Option) (*Cluster, error) {
 		}
 	}
 	return cl, nil
-}
-
-// monitorLinkStatuses adapts core's link reporting to the monitor's
-// core-agnostic type.
-func monitorLinkStatuses(c *core.Cluster) []monitor.LinkStatus {
-	ls := c.LinkStatuses()
-	out := make([]monitor.LinkStatus, len(ls))
-	for i, l := range ls {
-		out[i] = monitor.LinkStatus{ID: l.ID, State: l.State, Type: l.Type,
-			Width: l.Width, SpeedMHz: l.SpeedMHz, Bandwidth: l.Bandwidth}
-	}
-	return out
 }
 
 // Monitor returns the live-monitoring subsystem, nil unless the cluster
@@ -646,15 +627,7 @@ func (c *Cluster) NewService(cfg ServeConfig) (*Service, error) {
 		return nil, err
 	}
 	if c.mon != nil {
-		c.mon.SetServeSource(func() monitor.ServeStatus {
-			sn := s.Snapshot()
-			return monitor.ServeStatus{
-				Requests: sn.Requests, Completed: sn.Completed,
-				InSLO: sn.InSLO, Timeouts: sn.Timeouts, Shed: sn.Shed,
-				DeadMarks: sn.DeadMarks, P50PS: sn.P50PS, P99PS: sn.P99PS,
-				P999PS: sn.P999PS, Goodput: sn.Goodput,
-			}
-		})
+		c.mon.SetService(s)
 	}
 	return s, nil
 }
