@@ -53,9 +53,10 @@ bench:
 # measure the same statistic; faults, monitor and prof ignore -repeat.
 
 # Tracing + monitoring overhead: leaving WithMonitor on costs only a
-# few percent over WithTracer alone.
+# few percent over WithTracer alone. Monitor cells carry no throughput
+# floor, so the baseline check gates their fingerprints only.
 bench-json:
-	$(GO) run ./cmd/tccbench -bench monitor -out BENCH_monitor.json
+	$(GO) run ./cmd/tccbench -bench monitor -out BENCH_monitor.json -baseline BENCH_monitor.json
 
 # Event core: a synthetic self-clocking workload (fingerprint only) and
 # Fig. 6/Fig. 7-shaped full-stack workloads gated on events/s.
@@ -108,8 +109,8 @@ bench-serve-check:
 # archiving one metadata-stamped result JSON per cell, the profiled
 # allreduce spec whose result embeds the latency budget, the
 # 256-node torus ringshift sweep proving serial ≡ parallel byte-identity
-# at 2/4/8 workers under the graph-cut partitioner, and the chain16
-# serving spec whose node-crash campaign exercises replica failover.
+# at 2/4/8 workers, and the chain16 serving spec whose node-crash
+# campaign exercises replica failover.
 scenario-smoke:
 	$(GO) run ./cmd/tccrun -check -out scenario-results scenarios/fault-recovery-chain4.json
 	$(GO) run ./cmd/tccrun -out scenario-results scenarios/allreduce-sweep.json

@@ -16,11 +16,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	tccluster "repro"
 	"repro/internal/ht"
+	"repro/internal/trace"
 )
 
 // queueFingerprint is everything a workload run must reproduce exactly
@@ -482,31 +484,22 @@ func torusRun(t *testing.T, opts ...tccluster.Option) queueFingerprint {
 
 // TestParallelMatchesSerialTorus16x16 is the 256-node determinism gate
 // for the adaptive executor: the torus workload partitioned at 2, 4 and
-// 8 workers — under both partitioners — must reproduce the serial event
-// count, final virtual time, and per-link counters exactly.
+// 8 workers must reproduce the serial event count, final virtual time,
+// and per-link counters exactly.
 func TestParallelMatchesSerialTorus16x16(t *testing.T) {
 	serial := torusRun(t)
 	for _, workers := range []int{2, 4, 8} {
-		for _, part := range []struct {
-			name string
-			opts []tccluster.Option
-		}{
-			{"graph-cut", nil},
-			{"supernode", []tccluster.Option{tccluster.WithPartitioner(tccluster.PartitionBySupernode())}},
-		} {
-			opts := append([]tccluster.Option{tccluster.WithParallel(workers)}, part.opts...)
-			par := torusRun(t, opts...)
-			if par.fired != serial.fired {
-				t.Errorf("%d workers (%s): event count diverged: serial %d, parallel %d",
-					workers, part.name, serial.fired, par.fired)
-			}
-			if par.now != serial.now {
-				t.Errorf("%d workers (%s): final virtual time diverged: serial %v, parallel %v",
-					workers, part.name, serial.now, par.now)
-			}
-			if !reflect.DeepEqual(par.links, serial.links) {
-				t.Errorf("%d workers (%s): per-link counters diverged", workers, part.name)
-			}
+		par := torusRun(t, tccluster.WithParallel(workers))
+		if par.fired != serial.fired {
+			t.Errorf("%d workers: event count diverged: serial %d, parallel %d",
+				workers, serial.fired, par.fired)
+		}
+		if par.now != serial.now {
+			t.Errorf("%d workers: final virtual time diverged: serial %v, parallel %v",
+				workers, serial.now, par.now)
+		}
+		if !reflect.DeepEqual(par.links, serial.links) {
+			t.Errorf("%d workers: per-link counters diverged", workers)
 		}
 	}
 }
@@ -515,5 +508,77 @@ func mustOK(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sampleTrain drives a doorbell channel across an idle gap with a
+// sample hook installed and returns, per sample, its stamp and the
+// per-link port.pkts_sent readings it saw.
+func sampleTrain(t *testing.T, workers int) []string {
+	t.Helper()
+	topo, err := tccluster.Chain(4)
+	mustOK(t, err)
+	c, err := tccluster.New(topo, tccluster.DefaultConfig(), tccluster.WithParallel(workers))
+	mustOK(t, err)
+	defer c.Close()
+	par := tccluster.DefaultMsgParams()
+	par.Doorbell = true
+	s, r, err := c.OpenChannel(0, 3, par)
+	mustOK(t, err)
+	var recv func([]byte, error)
+	recv = func([]byte, error) { r.Recv(recv) }
+	r.Recv(recv)
+	payload := make([]byte, 64)
+	burst := func() {
+		for i := 0; i < 20; i++ {
+			s.Send(payload, func(error) {})
+		}
+	}
+	var train []string
+	c.SetSampleHook(3*tccluster.Microsecond+17, func(now tccluster.Time) {
+		var sent []string
+		counters := c.Metrics().Counters
+		for _, k := range trace.SortedKeys(counters) {
+			if k.Name == "port.pkts_sent" {
+				sent = append(sent, fmt.Sprintf("%v=%d", k, counters[k]))
+			}
+		}
+		train = append(train, fmt.Sprintf("%d %v", int64(now), sent))
+	})
+	burst()
+	c.RunFor(20 * tccluster.Microsecond)
+	c.EngineFor(0).After(50*tccluster.Microsecond, burst)
+	c.RunFor(100 * tccluster.Microsecond)
+	return train
+}
+
+// TestSampleTrainMatchesAcrossPartitions: sample boundaries are cuts of
+// the one timeline, so 1, 2 and 4 partitions fire the same boundaries —
+// exact stamps, across the 50us idle gap too — and every sample reads
+// the same counters.
+func TestSampleTrainMatchesAcrossPartitions(t *testing.T) {
+	serial := sampleTrain(t, 1)
+	// 120us of run time holds 39 boundaries of 3us+17ps.
+	if len(serial) != 39 {
+		t.Fatalf("serial run fired %d samples, want 39", len(serial))
+	}
+	for _, workers := range []int{2, 4} {
+		if par := sampleTrain(t, workers); !reflect.DeepEqual(par, serial) {
+			t.Errorf("%d workers: sample train diverged from serial:\nserial:   %v\nparallel: %v",
+				workers, serial, par)
+		}
+	}
+}
+
+// TestSerialClusterStartsNoGoroutine: a serial cluster is a one-partition
+// executor that runs every window inline, so building and running one
+// without closing it leaves no goroutine behind.
+func TestSerialClusterStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	quickstartRun(t)
+	// Goroutines left over from earlier tests may still be exiting, so
+	// only growth counts.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("serial cluster left %d goroutines running, had %d", after, before)
 	}
 }

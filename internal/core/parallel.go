@@ -24,34 +24,52 @@ func crossLatency(l *ht.Link) sim.Time {
 	return l.FlightTime() + l.SerializationTime(4)
 }
 
-// setupParallel splits the booted cluster into cfg.Parallel partitions,
-// each with its own event engine, packet pool, and trace shard, joined
-// by a conservative windowed barrier (sim.Parallel). The partition map
-// comes from cfg.Partitioner (default: greedy graph-cut over the
-// external-link graph); the executor's global lookahead is the fastest
-// cross-partition link, and its per-pair lookahead matrix the fastest
-// link between each partition pair.
+// setupParallel builds the cluster's executor. Every cluster runs on
+// a sim.Parallel: a serial cluster (cfg.Parallel <= 1, or a single
+// node) is one partition wrapping the boot engine — no split, no
+// mailboxes, no trace shards, no PDES accounting, and no goroutine.
+// Otherwise the booted cluster splits into cfg.Parallel partitions
+// (see split) joined by a conservative windowed barrier.
+func (c *Cluster) setupParallel() error {
+	p := min(c.cfg.Parallel, len(c.machines))
+	c.part = make([]int, len(c.machines))
+	c.engs = []*sim.Engine{c.eng}
+	inboxes, pair := [][]*sim.Mailbox{nil}, [][]sim.Time{{0}}
+	if p >= 2 {
+		var err error
+		if inboxes, pair, err = c.split(p); err != nil {
+			return err
+		}
+	}
+	runner, err := sim.NewParallel(c.engs, inboxes, pair)
+	if err != nil {
+		return err
+	}
+	if p >= 2 {
+		c.instrument(runner)
+	}
+	c.runner = runner
+	return nil
+}
+
+// split partitions the booted cluster into p partitions, each with its
+// own event engine, packet pool, and trace shard. The partition map is
+// a greedy graph-cut over the external-link graph. It returns the
+// executor's mailbox wiring and its direct pair-latency matrix: the
+// fastest link between each partition pair.
 //
 // It runs after firmware boot: construction and boot happen on a single
 // engine exactly as in serial mode, so the boot sequence — including its
 // trace — is bit-identical to a serial run. Only then are components
 // rebound onto partition engines, all warped to the boot end time.
-func (c *Cluster) setupParallel() error {
-	p := c.cfg.Parallel
-	if p > len(c.machines) {
-		p = len(c.machines)
-	}
-	if p < 2 {
-		return nil
-	}
-
+func (c *Cluster) split(p int) ([][]*sim.Mailbox, [][]sim.Time, error) {
 	// Reject zero-lookahead interconnects before deriving partitions:
 	// conservative windows advance by at least the smallest external-link
 	// latency, so a zero-latency cable would livelock the barrier no
 	// matter how the nodes end up grouped.
 	for i, l := range c.extLinks {
 		if crossLatency(l) <= 0 {
-			return fmt.Errorf("core: external link %d (node%d<->node%d) has zero latency, so a conservative parallel window can never advance: %w",
+			return nil, nil, fmt.Errorf("core: external link %d (node%d<->node%d) has zero latency, so a conservative parallel window can never advance: %w",
 				i, c.extEnds[i][0], c.extEnds[i][1], errs.ErrDeadlockTopology)
 		}
 	}
@@ -63,7 +81,7 @@ func (c *Cluster) setupParallel() error {
 	// affects simulation results, only how they are computed; the
 	// parallel-vs-serial determinism gates prove it.
 	n := len(c.machines)
-	graph := PartitionGraph{Nodes: n, NodeW: make([]float64, n)}
+	graph := partitionGraph{nodes: n, nodeW: make([]float64, n)}
 	for i, m := range c.machines {
 		w := 0
 		if m != nil {
@@ -71,41 +89,19 @@ func (c *Cluster) setupParallel() error {
 				w += len(proc.Cores)
 			}
 		}
-		graph.NodeW[i] = float64(w) // zero falls back to unit weight
+		graph.nodeW[i] = float64(w) // zero falls back to unit weight
 	}
 	for i, l := range c.extLinks {
 		lat := crossLatency(l)
-		graph.Edges = append(graph.Edges, PartitionEdge{
-			A: c.extEnds[i][0], B: c.extEnds[i][1], W: 1 / lat.Nanos(),
+		graph.edges = append(graph.edges, partitionEdge{
+			a: c.extEnds[i][0], b: c.extEnds[i][1], w: 1 / lat.Nanos(),
 		})
 	}
-	partitioner := c.cfg.Partitioner
-	if partitioner == nil {
-		partitioner = PartitionGraphCut()
-	}
-	assign, err := partitioner.Assign(graph, p)
+	assign, err := graphCut(graph, p)
 	if err != nil {
-		return fmt.Errorf("core: partitioner %s: %w", partitioner.Name(), err)
-	}
-	if err := validateAssignment(assign, n, p); err != nil {
-		return fmt.Errorf("core: partitioner %s: %w", partitioner.Name(), err)
+		return nil, nil, fmt.Errorf("core: graph-cut partitioning: %w", err)
 	}
 	c.part = assign
-
-	look := sim.Time(0)
-	for i, l := range c.extLinks {
-		if c.part[c.extEnds[i][0]] == c.part[c.extEnds[i][1]] {
-			continue
-		}
-		if lat := crossLatency(l); look == 0 || lat < look {
-			look = lat
-		}
-	}
-	if look == 0 {
-		// No link crosses a partition cut (disconnected topology): any
-		// window width is conservative.
-		look = sim.Millisecond
-	}
 
 	bootEnd := c.eng.Now()
 	c.engs = make([]*sim.Engine, p)
@@ -162,8 +158,15 @@ func (c *Cluster) setupParallel() error {
 
 	// External links: intra-partition links just rebind; links that cross
 	// a cut split into two half-links exchanging events through SPSC
-	// mailboxes the coordinator flips at window boundaries.
+	// mailboxes the coordinator flips at window boundaries. The executor
+	// closes the pair matrix under composition, so partition windows
+	// widen to the actual influence distance instead of the single
+	// global minimum.
 	inboxes := make([][]*sim.Mailbox, p)
+	pair := make([][]sim.Time, p)
+	for i := range pair {
+		pair[i] = make([]sim.Time, p)
+	}
 	for i, l := range c.extLinks {
 		pa, pb := c.part[c.extEnds[i][0]], c.part[c.extEnds[i][1]]
 		if pa == pb {
@@ -173,6 +176,10 @@ func (c *Cluster) setupParallel() error {
 			}
 			continue
 		}
+		if lat := crossLatency(l); pair[pa][pb] == 0 || lat < pair[pa][pb] {
+			pair[pa][pb] = lat
+			pair[pb][pa] = lat
+		}
 		// Mailbox labels feed the profiler's cross-partition traffic
 		// matrix: toA carries events pb publishes into pa, and vice versa.
 		toA, toB := &sim.Mailbox{From: pb, To: pa}, &sim.Mailbox{From: pa, To: pb}
@@ -180,40 +187,23 @@ func (c *Cluster) setupParallel() error {
 		inboxes[pb] = append(inboxes[pb], toB)
 		l.Split(c.engs[pa], c.engs[pb], toA, toB, shard(pa), shard(pb))
 	}
+	return inboxes, pair, nil
+}
 
-	runner, err := sim.NewParallel(c.engs, inboxes, look)
-	if err != nil {
-		return err
-	}
-	// Per-pair lookahead: the fastest link between each partition pair.
-	// The executor closes it under composition, so partition windows
-	// widen to the actual influence distance instead of the single
-	// global minimum.
-	pair := make([][]sim.Time, p)
-	for i := range pair {
-		pair[i] = make([]sim.Time, p)
-	}
-	cutLinks := 0
-	cutWeight := 0.0
-	for i, l := range c.extLinks {
-		pa, pb := c.part[c.extEnds[i][0]], c.part[c.extEnds[i][1]]
-		if pa == pb {
-			continue
-		}
-		cutLinks++
-		lat := crossLatency(l)
-		cutWeight += 1 / lat.Nanos()
-		if pair[pa][pb] == 0 || lat < pair[pa][pb] {
-			pair[pa][pb] = lat
-			pair[pb][pa] = lat
-		}
-	}
-	if err := runner.SetPairLookahead(pair); err != nil {
-		return err
-	}
+// instrument installs a split cluster's barrier hook — merge trace
+// shards, repatriate exiled packets — and, when profiling, the PDES
+// runtime accounting with the cut description.
+func (c *Cluster) instrument(runner *sim.Parallel) {
 	if pr := c.cfg.Profiler; pr != nil {
-		st := sim.NewParallelStats(p)
-		st.SetCut(partitioner.Name(), cutLinks, cutWeight)
+		cutLinks, cutWeight := 0, 0.0
+		for i, l := range c.extLinks {
+			if c.part[c.extEnds[i][0]] != c.part[c.extEnds[i][1]] {
+				cutLinks++
+				cutWeight += 1 / crossLatency(l).Nanos()
+			}
+		}
+		st := sim.NewParallelStats(len(c.engs))
+		st.SetCut(cutLinks, cutWeight)
 		runner.SetStats(st)
 		pr.SetParallelStats(st)
 	}
@@ -229,45 +219,23 @@ func (c *Cluster) setupParallel() error {
 			c.exiled[pi] = c.exiled[pi][:0]
 		}
 	})
-	c.runner = runner
-	return nil
 }
 
 // Partitions returns the number of worker partitions, 1 on serial runs.
-func (c *Cluster) Partitions() int {
-	if c.runner == nil {
-		return 1
-	}
-	return len(c.engs)
-}
+func (c *Cluster) Partitions() int { return len(c.engs) }
 
 // Partition returns the partition index owning node i (0 on serial runs).
-func (c *Cluster) Partition(i int) int {
-	if c.part == nil {
-		return 0
-	}
-	return c.part[i]
-}
+func (c *Cluster) Partition(i int) int { return c.part[i] }
 
 // Lookahead returns the conservative window width of a parallel run, or
 // 0 on serial runs.
-func (c *Cluster) Lookahead() sim.Time {
-	if c.runner == nil {
-		return 0
-	}
-	return c.runner.Lookahead()
-}
+func (c *Cluster) Lookahead() sim.Time { return c.runner.Lookahead() }
 
 // EngineFor returns the engine that executes node i's events. Layers
 // that schedule work against a specific node (kernel pollers, message
 // rings) must use this, not Engine, so their events land on the
 // partition that owns the node.
-func (c *Cluster) EngineFor(i int) *sim.Engine {
-	if c.runner == nil {
-		return c.eng
-	}
-	return c.engs[c.part[i]]
-}
+func (c *Cluster) EngineFor(i int) *sim.Engine { return c.engs[c.part[i]] }
 
 // TracerFor returns the tracer node i's partition may emit into from a
 // worker goroutine: its trace shard on parallel runs, the base tracer
@@ -279,20 +247,11 @@ func (c *Cluster) TracerFor(i int) trace.Tracer {
 	return c.shards.Shard(c.part[i])
 }
 
-// Close stops the parallel executor's worker goroutines. It is
-// idempotent and safe on serial clusters and on clusters that never
-// ran; running the cluster again restarts the workers.
-func (c *Cluster) Close() {
-	if c.runner != nil {
-		c.runner.Close()
-	}
-}
+// Close stops the executor's worker goroutines, if it started any. It
+// is idempotent and safe on clusters that never ran; running the
+// cluster again restarts the workers.
+func (c *Cluster) Close() { c.runner.Close() }
 
 // EventsFired returns the total number of simulation events executed
 // across all partitions.
-func (c *Cluster) EventsFired() uint64 {
-	if c.runner == nil {
-		return c.eng.Fired()
-	}
-	return c.runner.Fired()
-}
+func (c *Cluster) EventsFired() uint64 { return c.runner.Fired() }

@@ -12,109 +12,74 @@ import (
 	"sort"
 )
 
-// PartitionGraph is the topology view a Partitioner consumes: one node
-// per supernode, one edge per external link. Edge weight is affinity —
-// the cost of cutting the edge, canonically the inverse of the link's
+// partitionGraph is the topology view graphCut consumes: one node per
+// supernode, one edge per external link. Edge weight is affinity — the
+// cost of cutting the edge, canonically the inverse of the link's
 // cross-partition latency in nanoseconds. Node weight models expected
 // event rate; zero or missing weights count as 1.
-type PartitionGraph struct {
-	Nodes int
-	NodeW []float64
-	Edges []PartitionEdge
+type partitionGraph struct {
+	nodes int
+	nodeW []float64
+	edges []partitionEdge
 }
 
-// PartitionEdge is one undirected edge of the partition graph.
-type PartitionEdge struct {
-	A, B int
-	W    float64
+// partitionEdge is one undirected edge of the partition graph.
+type partitionEdge struct {
+	a, b int
+	w    float64
 }
 
 // partHalf is one directed half of an undirected partition edge in the
-// adjacency view partitioners build.
+// adjacency view graphCut builds.
 type partHalf struct {
 	to int
 	w  float64
 }
 
-// Partitioner assigns each node of a PartitionGraph to one of parts
-// partitions. Assignments must be deterministic: the same graph and
-// part count must always produce the same cut, or parallel runs would
-// stop being reproducible across processes.
-type Partitioner interface {
-	// Name identifies the strategy in profiles and scenario specs.
-	Name() string
-	// Assign returns a per-node partition index in [0, parts). Every
-	// partition must be non-empty.
-	Assign(g PartitionGraph, parts int) ([]int, error)
-}
-
-// nodeWeight reads g.NodeW with the 1-default.
-func (g PartitionGraph) nodeWeight(i int) float64 {
-	if i < len(g.NodeW) && g.NodeW[i] > 0 {
-		return g.NodeW[i]
+// nodeWeight reads g.nodeW with the 1-default.
+func (g partitionGraph) nodeWeight(i int) float64 {
+	if i < len(g.nodeW) && g.nodeW[i] > 0 {
+		return g.nodeW[i]
 	}
 	return 1
 }
 
-// CutOf reports the number and total affinity weight of edges crossing
-// the given assignment — the figure of merit partitioners minimize.
-func (g PartitionGraph) CutOf(assign []int) (links int, weight float64) {
-	for _, e := range g.Edges {
-		if e.A < len(assign) && e.B < len(assign) && assign[e.A] != assign[e.B] {
+// cutOf reports the number and total affinity weight of edges crossing
+// the given assignment — the figure of merit graphCut minimizes.
+func (g partitionGraph) cutOf(assign []int) (links int, weight float64) {
+	for _, e := range g.edges {
+		if e.a < len(assign) && e.b < len(assign) && assign[e.a] != assign[e.b] {
 			links++
-			weight += e.W
+			weight += e.w
 		}
 	}
 	return links, weight
 }
 
-// supernodePartitioner is the original contiguous-index split: node i
-// goes to partition i*parts/n. It ignores the link graph entirely but
-// matches the paper's supernode-chain layouts, where index order is
-// physical order.
-type supernodePartitioner struct{}
-
-func (supernodePartitioner) Name() string { return "supernode" }
-
-func (supernodePartitioner) Assign(g PartitionGraph, parts int) ([]int, error) {
-	if err := checkPartitionArgs(g, parts); err != nil {
-		return nil, err
-	}
-	out := make([]int, g.Nodes)
-	for i := range out {
-		out[i] = i * parts / g.Nodes
-	}
-	return out, nil
-}
-
-// PartitionBySupernode returns the contiguous by-index partitioner,
-// the pre-partitioner default behavior.
-func PartitionBySupernode() Partitioner { return supernodePartitioner{} }
-
-// graphCutPartitioner grows partitions greedily over the link graph
-// (greedy graph growing, the GGGP seed phase of multilevel
+// graphCut assigns each node of g to one of parts partitions by
+// greedy graph growing (the GGGP seed phase of multilevel
 // partitioners): each partition accretes the unassigned node with the
 // strongest affinity to it until the partition's node weight reaches
 // its fair share of what remains, then a boundary-refinement sweep
 // moves nodes whose foreign affinity exceeds their home affinity when
-// balance allows. All tie-breaks are by lowest node index, so the cut
-// is deterministic.
-type graphCutPartitioner struct{}
-
-func (graphCutPartitioner) Name() string { return "graph-cut" }
-
-func (graphCutPartitioner) Assign(g PartitionGraph, parts int) ([]int, error) {
-	if err := checkPartitionArgs(g, parts); err != nil {
-		return nil, err
+// balance allows. Every partition is non-empty, and all tie-breaks are
+// by lowest node index, so the same graph and part count always give
+// the same cut — parallel runs stay reproducible across processes.
+func graphCut(g partitionGraph, parts int) ([]int, error) {
+	if parts < 1 {
+		return nil, fmt.Errorf("core: %d partitions", parts)
 	}
-	n := g.Nodes
+	if g.nodes < parts {
+		return nil, fmt.Errorf("core: %d nodes cannot fill %d partitions", g.nodes, parts)
+	}
+	n := g.nodes
 	adj := make([][]partHalf, n)
-	for _, e := range g.Edges {
-		if e.A < 0 || e.A >= n || e.B < 0 || e.B >= n || e.A == e.B {
-			return nil, fmt.Errorf("core: partition edge %d-%d outside graph of %d nodes", e.A, e.B, n)
+	for _, e := range g.edges {
+		if e.a < 0 || e.a >= n || e.b < 0 || e.b >= n || e.a == e.b {
+			return nil, fmt.Errorf("core: partition edge %d-%d outside graph of %d nodes", e.a, e.b, n)
 		}
-		adj[e.A] = append(adj[e.A], partHalf{e.B, e.W})
-		adj[e.B] = append(adj[e.B], partHalf{e.A, e.W})
+		adj[e.a] = append(adj[e.a], partHalf{e.b, e.w})
+		adj[e.b] = append(adj[e.b], partHalf{e.a, e.w})
 	}
 	// Deterministic neighbor order regardless of edge-list order.
 	for i := range adj {
@@ -185,8 +150,8 @@ func (graphCutPartitioner) Assign(g PartitionGraph, parts int) ([]int, error) {
 // balance bound (ceil of the fair share; donors keep at least one
 // node). A handful of passes suffices — the greedy growth already
 // places all but boundary nodes well.
-func refineCut(g PartitionGraph, adj [][]partHalf, assign []int, parts int) {
-	n := g.Nodes
+func refineCut(g partitionGraph, adj [][]partHalf, assign []int, parts int) {
+	n := g.nodes
 	partW := make([]float64, parts)
 	partN := make([]int, parts)
 	maxNodeW := 0.0
@@ -243,39 +208,4 @@ func refineCut(g PartitionGraph, adj [][]partHalf, assign []int, parts int) {
 			break
 		}
 	}
-}
-
-// PartitionGraphCut returns the greedy graph-cut partitioner, the
-// default for parallel clusters.
-func PartitionGraphCut() Partitioner { return graphCutPartitioner{} }
-
-func checkPartitionArgs(g PartitionGraph, parts int) error {
-	if parts < 1 {
-		return fmt.Errorf("core: %d partitions", parts)
-	}
-	if g.Nodes < parts {
-		return fmt.Errorf("core: %d nodes cannot fill %d partitions", g.Nodes, parts)
-	}
-	return nil
-}
-
-// validateAssignment checks a (possibly user-supplied) partitioner
-// output: right length, indices in range, no empty partition.
-func validateAssignment(assign []int, nodes, parts int) error {
-	if len(assign) != nodes {
-		return fmt.Errorf("core: partitioner assigned %d of %d nodes", len(assign), nodes)
-	}
-	seen := make([]bool, parts)
-	for i, p := range assign {
-		if p < 0 || p >= parts {
-			return fmt.Errorf("core: node %d assigned to partition %d of %d", i, p, parts)
-		}
-		seen[p] = true
-	}
-	for p, ok := range seen {
-		if !ok {
-			return fmt.Errorf("core: partition %d is empty", p)
-		}
-	}
-	return nil
 }

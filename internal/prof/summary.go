@@ -217,9 +217,9 @@ func (s *Summary) WriteText(w io.Writer) (err error) {
 	if s.PDES != nil {
 		fmt.Fprintf(&out, "pdes: %d windows, occupancy %.2f, imbalance %.2f, serial %.2fms, span %.2fms\n",
 			s.PDES.Windows, s.PDES.Occupancy, s.PDES.Imbalance, s.PDES.SerialMS, s.PDES.SpanMS)
-		if s.PDES.Partitioner != "" {
-			fmt.Fprintf(&out, "  cut: %s, %d links crossing, weight %.3f\n",
-				s.PDES.Partitioner, s.PDES.CutLinks, s.PDES.CutWeight)
+		if s.PDES.CutLinks > 0 {
+			fmt.Fprintf(&out, "  cut: %d links crossing, weight %.3f\n",
+				s.PDES.CutLinks, s.PDES.CutWeight)
 		}
 		fmt.Fprintf(&out, "  windows: %d dirty flips, %d widened past 2x lookahead, mean width %.1fns\n",
 			s.PDES.DirtyFlips, s.PDES.WideWindows, s.PDES.MeanWindowNs)
@@ -277,7 +277,7 @@ func (p *Profiler) Metrics() trace.Snapshot {
 	s.Gauges[key("occupancy")] = d.Occupancy
 	s.Gauges[key("imbalance")] = d.Imbalance
 	s.Gauges[key("mean_window_ns")] = d.MeanWindowNs
-	if d.Partitioner != "" {
+	if d.CutLinks > 0 {
 		s.Gauges[key("cut_links")] = float64(d.CutLinks)
 		s.Gauges[key("cut_weight")] = d.CutWeight
 	}

@@ -89,21 +89,6 @@ func TestEngineRunUntilAdvancesClockToDeadline(t *testing.T) {
 	}
 }
 
-func TestEngineHaltStopsRun(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(10*Nanosecond, func() { fired++; e.Halt() })
-	e.At(20*Nanosecond, func() { fired++ })
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (Halt should stop the run)", fired)
-	}
-	e.Run() // resumes
-	if fired != 2 {
-		t.Fatalf("fired = %d after resume, want 2", fired)
-	}
-}
-
 func TestEngineCascadedEvents(t *testing.T) {
 	e := NewEngine()
 	count := 0
@@ -317,152 +302,16 @@ func TestEventOrderingProperty(t *testing.T) {
 	}
 }
 
-func TestEngineProbeWakeSemantics(t *testing.T) {
+// AlignTo parks the clock on a timeline cut without executing
+// anything; a pending event before the cut would be skipped, so it must
+// refuse loudly instead.
+func TestAlignToPanicsOnSkippedEvent(t *testing.T) {
 	e := NewEngine()
-	var wakes []Time
-	// Arm at 100ns, re-arm every 100ns: events at 40, 80 must not wake
-	// the probe; before the 120 event fires the 100 boundary is due and
-	// fires exactly at 100; 130 is inside the next window; before 250
-	// fires the 200 boundary is due and fires exactly at 200.
-	e.SetProbe(func(now Time) Time {
-		wakes = append(wakes, now)
-		next := Time(100 * Nanosecond)
-		for next <= now {
-			next += 100 * Nanosecond
-		}
-		return next
-	}, 100*Nanosecond)
-	for _, at := range []Time{40, 80, 120, 130, 250} {
-		e.At(at*Nanosecond, func() {})
+	e.AlignTo(5 * Microsecond)
+	if e.Now() != 5*Microsecond {
+		t.Fatalf("AlignTo parked the clock at %v, want 5us", e.Now())
 	}
-	e.Run()
-	want := []Time{100 * Nanosecond, 200 * Nanosecond}
-	if len(wakes) != len(want) || wakes[0] != want[0] || wakes[1] != want[1] {
-		t.Fatalf("probe wakes = %v, want %v", wakes, want)
-	}
-}
-
-func TestEngineProbeDisarmsOnStaleWake(t *testing.T) {
-	e := NewEngine()
-	calls := 0
-	e.SetProbe(func(now Time) Time {
-		calls++
-		return 0 // not after now: disarm
-	}, 10*Nanosecond)
-	e.At(20*Nanosecond, func() {})
-	e.At(30*Nanosecond, func() {})
-	e.Run()
-	if calls != 1 {
-		t.Fatalf("disarmed probe fired %d times, want 1", calls)
-	}
-}
-
-// ---- Quiescence fast-forward edge cases --------------------------------
-
-// A monitor probe armed across a multi-millisecond idle gap must see
-// every sample boundary at its exact virtual time when RunUntil crosses
-// the whole gap in one quiescence fast-forward.
-func TestRunUntilFastForwardFiresEveryProbeBoundary(t *testing.T) {
-	e := NewEngine()
-	var wakes []Time
-	period := 10 * Microsecond
-	e.SetProbe(func(now Time) Time {
-		wakes = append(wakes, now)
-		return now + period
-	}, period)
-	e.RunUntil(8 * Millisecond) // empty queue: pure fast-forward
-	if len(wakes) != 800 {
-		t.Fatalf("fast-forward fired %d probe wakes, want 800", len(wakes))
-	}
-	for i, w := range wakes {
-		if want := Time(i+1) * period; w != want {
-			t.Fatalf("wake %d at %v, want %v", i, w, want)
-		}
-	}
-	if e.Now() != 8*Millisecond {
-		t.Fatalf("clock parked at %v, want the 8ms deadline", e.Now())
-	}
-}
-
-// A watchdog probe that schedules the timeout event it guards must see
-// that event execute mid-jump at its own virtual instant, not get
-// dragged to the deadline.
-func TestRunUntilProbeScheduledEventsRunDuringJump(t *testing.T) {
-	e := NewEngine()
-	var probeAt, eventAt Time
-	e.SetProbe(func(now Time) Time {
-		probeAt = now
-		e.After(7*Microsecond, func() { eventAt = e.Now() })
-		return 0 // one-shot
-	}, 5*Microsecond)
-	e.RunUntil(1 * Millisecond)
-	if probeAt != 5*Microsecond {
-		t.Fatalf("watchdog woke at %v, want 5us", probeAt)
-	}
-	if eventAt != 12*Microsecond {
-		t.Fatalf("watchdog-scheduled event ran at %v, want 12us", eventAt)
-	}
-	if e.Now() != 1*Millisecond {
-		t.Fatalf("clock parked at %v, want the deadline", e.Now())
-	}
-}
-
-// An event a probe schedules beyond the deadline stays pending: the
-// fast-forward stops at the deadline, never over-runs it.
-func TestRunUntilProbeEventBeyondDeadlineStaysPending(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	e.SetProbe(func(now Time) Time {
-		e.After(50*Microsecond, func() { ran = true })
-		return 0
-	}, 5*Microsecond)
-	e.RunUntil(10 * Microsecond)
-	if ran {
-		t.Fatal("event past the deadline ran during the jump")
-	}
-	if e.Now() != 10*Microsecond {
-		t.Fatalf("clock at %v, want the 10us deadline", e.Now())
-	}
-	e.Run()
-	if !ran {
-		t.Fatal("pending event was lost by the fast-forward")
-	}
-	if e.Now() != 55*Microsecond {
-		t.Fatalf("event executed at %v, want 55us", e.Now())
-	}
-}
-
-// AlignTo is the fault campaign's parking jump: probe wakes it crosses
-// fire at their exact times even though no events may run, and the
-// probe stays armed for the boundary past the park point.
-func TestAlignToFiresCrossedProbeWakesExactly(t *testing.T) {
-	e := NewEngine()
-	var wakes []Time
-	e.SetProbe(func(now Time) Time {
-		wakes = append(wakes, now)
-		return now + 20*Microsecond
-	}, 20*Microsecond)
-	e.AlignTo(70 * Microsecond)
-	if len(wakes) != 3 || wakes[0] != 20*Microsecond || wakes[1] != 40*Microsecond || wakes[2] != 60*Microsecond {
-		t.Fatalf("AlignTo fired wakes %v, want exactly 20us/40us/60us", wakes)
-	}
-	if e.Now() != 70*Microsecond {
-		t.Fatalf("clock parked at %v, want 70us", e.Now())
-	}
-	e.RunUntil(90 * Microsecond)
-	if len(wakes) != 4 || wakes[3] != 80*Microsecond {
-		t.Fatalf("post-align wake sequence %v, want a fourth at 80us", wakes)
-	}
-}
-
-// A probe that schedules an event before the align point defeats the
-// alignment; AlignTo must refuse loudly rather than skip the event.
-func TestAlignToPanicsWhenProbeSchedulesEarlierEvent(t *testing.T) {
-	e := NewEngine()
-	e.SetProbe(func(now Time) Time {
-		e.After(Nanosecond, func() {})
-		return 0
-	}, 10*Microsecond)
+	e.At(10*Microsecond, func() {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("AlignTo skipped a pending event without panicking")

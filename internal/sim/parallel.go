@@ -5,6 +5,9 @@
 // independent, so partitions run concurrently on worker goroutines;
 // cross-partition events travel through Mailboxes that are handed over
 // only at window boundaries, under the coordinator's happens-before.
+// A single engine is the one-partition case of the same executor: every
+// serial cluster runs through it too, so sampling, scripted actions and
+// run deadlines have one implementation.
 //
 // The scheme is the classical synchronous conservative PDES barrier
 // (Chandy-Misra lookahead without null messages), sharpened in two
@@ -140,9 +143,11 @@ func (mb *Mailbox) drainInto(e *Engine) {
 
 // Parallel advances a set of partition engines in conservative time
 // windows. It is driven from a single control goroutine (the same one
-// that owns the engines between runs); worker goroutines are spawned
-// once, on the first run, and park on their command channels between
-// windows, so repeated runs pay no spawn cost.
+// that owns the engines between runs). A window with one active
+// partition runs inline on that goroutine; worker goroutines are
+// spawned on the first window that dispatches two or more partitions,
+// and park on their command channels between windows, so repeated runs
+// pay no spawn cost and a one-partition executor never starts one.
 type Parallel struct {
 	engs    []*Engine
 	inboxes [][]*Mailbox // inboxes[p]: mailboxes consumed by partition p
@@ -151,8 +156,7 @@ type Parallel struct {
 	// dist[q][p] is the minimum cross-partition virtual latency of any
 	// causal chain from partition q to partition p (all-pairs shortest
 	// path over per-pair direct lookaheads; maxTime when unreachable,
-	// 0 on the diagonal). Nil selects the uniform fallback: every pair
-	// at distance look over a complete influence graph.
+	// 0 on the diagonal).
 	dist [][]Time
 
 	barrier func() // serial section at each window boundary
@@ -175,9 +179,10 @@ type Parallel struct {
 	// truncates after draining, capacity retained.
 	readyBoxes [][]*Mailbox
 
-	// Persistent worker pool: spawned lazily on the first run and parked
-	// on their command channels between windows and between runs, so a
-	// run costs zero goroutine spawns. Close retires it.
+	// Persistent worker pool: spawned on the first multi-partition
+	// window and parked on their command channels between windows and
+	// between runs, so a run costs zero goroutine spawns. Close retires
+	// it.
 	cmds    []chan Time
 	done    chan int
 	workers sync.WaitGroup
@@ -186,18 +191,78 @@ type Parallel struct {
 }
 
 // NewParallel builds an executor over engs. inboxes[p] lists the
-// mailboxes whose entries are destined for partition p. look is the
-// cross-partition lookahead; it must be positive, otherwise the window
-// never advances past the earliest event and the barrier livelocks.
-func NewParallel(engs []*Engine, inboxes [][]*Mailbox, look Time) (*Parallel, error) {
-	if len(engs) < 1 {
+// mailboxes whose entries are destined for partition p. direct[q][p]
+// is the minimum virtual latency of mail partition q posts for
+// partition p, or 0 when q never posts to p directly (the diagonal is
+// ignored). The executor closes the matrix under composition
+// (Floyd-Warshall), so a partition's window bound accounts for
+// multi-hop influence chains through idle intermediates, and derives
+// the global lookahead as its smallest direct entry. A partition with
+// inboxes but no positive entry in its column is rejected: its mail
+// would have zero lookahead. A single engine with a 1x1 matrix is the
+// serial case: no mail, unbounded windows.
+func NewParallel(engs []*Engine, inboxes [][]*Mailbox, direct [][]Time) (*Parallel, error) {
+	n := len(engs)
+	if n < 1 {
 		return nil, fmt.Errorf("sim: parallel executor needs at least one engine")
 	}
-	if len(inboxes) != len(engs) {
-		return nil, fmt.Errorf("sim: %d inbox sets for %d engines", len(inboxes), len(engs))
+	if len(inboxes) != n {
+		return nil, fmt.Errorf("sim: %d inbox sets for %d engines", len(inboxes), n)
 	}
-	if look <= 0 {
-		return nil, fmt.Errorf("sim: non-positive lookahead %v livelocks the window barrier", look)
+	if len(direct) != n {
+		return nil, fmt.Errorf("sim: pair lookahead matrix has %d rows, want %d", len(direct), n)
+	}
+	look := Time(0)
+	dist := make([][]Time, n)
+	for i := range dist {
+		if len(direct[i]) != n {
+			return nil, fmt.Errorf("sim: pair lookahead row %d has %d entries, want %d", i, len(direct[i]), n)
+		}
+		dist[i] = make([]Time, n)
+		for j, w := range direct[i] {
+			switch {
+			case i == j:
+			case w < 0:
+				return nil, fmt.Errorf("sim: negative pair lookahead %v for %d->%d", w, i, j)
+			case w == 0:
+				dist[i][j] = maxTime
+			default:
+				dist[i][j] = w
+				if look == 0 || w < look {
+					look = w
+				}
+			}
+		}
+	}
+	// Mail into a partition needs a positive lookahead from some
+	// sender: zero-latency mail could land inside a window already
+	// running, and a conservative window could never advance.
+	for pi, boxes := range inboxes {
+		if len(boxes) == 0 {
+			continue
+		}
+		fed := false
+		for q := range direct {
+			if q != pi && direct[q][pi] > 0 {
+				fed = true
+			}
+		}
+		if !fed {
+			return nil, fmt.Errorf("sim: partition %d receives mail but no sender has a positive pair lookahead", pi)
+		}
+	}
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			dik := dist[i][k]
+			if dik == maxTime {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				if dkj := dist[k][j]; dkj != maxTime && dik+dkj < dist[i][j] {
+					dist[i][j] = dik + dkj
+				}
+			}
+		}
 	}
 	// One root-priority counter across all partitions keeps driver-side
 	// scheduling (workload setup between runs) numbered in global call
@@ -215,10 +280,11 @@ func NewParallel(engs []*Engine, inboxes [][]*Mailbox, look Time) (*Parallel, er
 		engs:       engs,
 		inboxes:    inboxes,
 		look:       look,
-		active:     make([]bool, len(engs)),
-		nexts:      make([]Time, len(engs)),
-		bounds:     make([]Time, len(engs)),
-		readyBoxes: make([][]*Mailbox, len(engs)),
+		dist:       dist,
+		active:     make([]bool, n),
+		nexts:      make([]Time, n),
+		bounds:     make([]Time, n),
+		readyBoxes: make([][]*Mailbox, n),
 	}
 	// Wire every mailbox to its consumer and stamp the global wiring
 	// order that fixes drain order across dirty-set handoffs. A mailbox
@@ -244,59 +310,9 @@ func NewParallel(engs []*Engine, inboxes [][]*Mailbox, look Time) (*Parallel, er
 	return p, nil
 }
 
-// Lookahead returns the minimum cross-partition lookahead the executor
-// synchronizes on.
+// Lookahead returns the minimum cross-partition lookahead: the smallest
+// direct entry of the pair matrix, 0 when no partition posts to another.
 func (p *Parallel) Lookahead() Time { return p.look }
-
-// SetPairLookahead installs the direct cross-partition latency matrix:
-// direct[q][p] is the minimum virtual latency of mail posted by
-// partition q for partition p, or 0 when q never posts to p directly.
-// The executor closes the matrix under composition (Floyd-Warshall), so
-// a partition's window bound accounts for multi-hop influence chains
-// through idle intermediates. Every finite direct entry must be at
-// least the executor's global lookahead — the producer-side window cap
-// (Mailbox.Post) is derived from it.
-func (p *Parallel) SetPairLookahead(direct [][]Time) error {
-	n := len(p.engs)
-	if len(direct) != n {
-		return fmt.Errorf("sim: pair lookahead matrix is %dx, want %dx%d", len(direct), n, n)
-	}
-	d := make([][]Time, n)
-	for i := range d {
-		if len(direct[i]) != n {
-			return fmt.Errorf("sim: pair lookahead row %d has %d entries, want %d", i, len(direct[i]), n)
-		}
-		d[i] = make([]Time, n)
-		for j := range d[i] {
-			w := direct[i][j]
-			switch {
-			case i == j:
-				d[i][j] = 0
-			case w <= 0:
-				d[i][j] = maxTime
-			case w < p.look:
-				return fmt.Errorf("sim: pair lookahead %v for %d->%d below global lookahead %v", w, i, j, p.look)
-			default:
-				d[i][j] = w
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			dik := d[i][k]
-			if dik == maxTime {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if dkj := d[k][j]; dkj != maxTime && dik+dkj < d[i][j] {
-					d[i][j] = dik + dkj
-				}
-			}
-		}
-	}
-	p.dist = d
-	return nil
-}
 
 // Now returns the global virtual time: the maximum over partition
 // clocks. Between runs all clocks are aligned, so this equals each
@@ -334,10 +350,15 @@ func (p *Parallel) Stats() *ParallelStats { return p.stats }
 func (p *Parallel) SetBarrierHook(fn func()) { p.barrier = fn }
 
 // SetSampleHook arranges for fn(now) to be called from the serial
-// section whenever the global clock crosses a multiple of every. It
-// mirrors Engine.SetProbe for the parallel executor: windows are
-// clamped to sample boundaries, so fn observes a quiesced simulation at
-// (or just past) each boundary.
+// section at every multiple of every past the current time. Each
+// boundary is a timeline cut: windows end strictly before it, and it
+// fires once nothing earlier is pending, with every clock aligned onto
+// it — so fn observes exactly the events before the boundary and none
+// at it, stamped exactly, across idle gaps too. A boundary fires before
+// a scripted action at the same instant. Run fires no boundary once
+// nothing is pending; RunUntil and RunFor fire every boundary up to
+// their deadline. fn observes only: it must not schedule events. A nil
+// fn or non-positive every uninstalls the hook.
 func (p *Parallel) SetSampleHook(every Time, fn func(now Time)) {
 	if fn == nil || every <= 0 {
 		p.sampleFn = nil
@@ -350,13 +371,13 @@ func (p *Parallel) SetSampleHook(every Time, fn func(now Time)) {
 
 // SetActionHook installs a scripted-action source (a fault campaign).
 // next reports the earliest pending action's absolute time; fire applies
-// every action due at that time. The coordinator clamps each window to
-// end strictly before the next action, aligns all partition clocks to
-// the action time, and calls fire in the serial section with every
-// worker parked — so an action observes exactly the events before its
-// timestamp and none at or after it, the same cut a serial engine
-// produces. fire may only schedule follow-up actions strictly later
-// than now.
+// every action due at that time. Like a sample boundary, an action is a
+// timeline cut: the coordinator clamps each window to end strictly
+// before it, aligns all partition clocks to the action time, and calls
+// fire in the serial section with every worker parked — so an action
+// observes exactly the events before its timestamp and none at or after
+// it, at every partition count. fire may only schedule follow-up
+// actions strictly later than now.
 func (p *Parallel) SetActionHook(next func() (Time, bool), fire func(now Time)) {
 	p.actionNext = next
 	p.actionFire = fire
@@ -453,35 +474,89 @@ func (p *Parallel) execWindow(idx int, w Time) {
 	}
 }
 
+// horizon fills p.active and p.nexts with each partition's earliest
+// pending timestamp (events or undelivered mail) and returns the
+// earliest over all partitions, maxTime when nothing is pending.
+func (p *Parallel) horizon() Time {
+	tnext := maxTime
+	for pi, e := range p.engs {
+		next := maxTime
+		for _, mb := range p.readyBoxes[pi] {
+			if mb.readyMin < next {
+				next = mb.readyMin
+			}
+		}
+		if t, ok := e.nextTime(); ok && t < next {
+			next = t
+		}
+		p.active[pi] = next < maxTime
+		p.nexts[pi] = next
+		if next < tnext {
+			tnext = next
+		}
+	}
+	return tnext
+}
+
+// alignTo parks every partition clock on the cut at t.
+func (p *Parallel) alignTo(t Time) {
+	for _, e := range p.engs {
+		e.AlignTo(t)
+	}
+}
+
+// bound returns partition pi's window bound: the earliest instant any
+// peer's pending work could influence it, given each peer's horizon
+// and the pair distance matrix. maxTime when every peer is idle or
+// unreachable.
+func (p *Parallel) bound(pi int) Time {
+	w := maxTime
+	for qi, t := range p.nexts {
+		if qi == pi || t == maxTime {
+			continue
+		}
+		d := p.dist[qi][pi]
+		if d == maxTime {
+			continue
+		}
+		if b := t + d; b >= t && b < w { // b < t: overflow
+			w = b
+		}
+	}
+	return w
+}
+
+// startWorkers spawns the worker pool, one goroutine per partition.
+func (p *Parallel) startWorkers() {
+	n := len(p.engs)
+	p.cmds = make([]chan Time, n)
+	p.done = make(chan int, n)
+	p.workers.Add(n)
+	for i := 0; i < n; i++ {
+		p.cmds[i] = make(chan Time, 1)
+		go p.worker(i, p.cmds[i], p.done)
+	}
+}
+
 // run is the coordinator loop. Each iteration: flip dirty mailboxes,
 // find each partition's earliest pending timestamp (events or
-// undelivered mail), then execute a per-partition window on every
-// partition that has work, then run the serial barrier section.
+// undelivered mail), fire the next timeline cut (sample boundary or
+// scripted action) if nothing earlier is pending, otherwise execute a
+// per-partition window on every partition that has work, then run the
+// serial barrier section.
 //
 // Windows are adaptively widened per partition pair: partition p can
 // only be influenced by a peer q through mail that costs at least
 // dist(q, p) of virtual latency from q's current horizon, so p may
 // safely run to min over q of (next_q + dist(q, p)) — potentially far
 // past the classical global bound tnext+look. When every peer is idle
-// (or unreachable) the bound degenerates to the run deadline: the lone
-// active partition fast-forwards through its remaining work in a single
-// window instead of draining one lookahead-sized window per iteration.
-// The producer-side cap (Mailbox.Post) covers the one influence the
-// matrix excludes — a chain leaving p and returning to it within the
-// same window.
+// (or unreachable) the bound degenerates to the next cut or the run
+// deadline: the lone active partition fast-forwards through its
+// remaining work in a single window instead of draining one
+// lookahead-sized window per iteration. The producer-side cap
+// (Mailbox.Post) covers the one influence the matrix excludes — a
+// chain leaving p and returning to it within the same window.
 func (p *Parallel) run(deadline Time, bounded bool) {
-	n := len(p.engs)
-	if p.cmds == nil {
-		p.cmds = make([]chan Time, n)
-		p.done = make(chan int, n)
-		p.workers.Add(n)
-		for i := 0; i < n; i++ {
-			p.cmds[i] = make(chan Time, 1)
-			go p.worker(i, p.cmds[i], p.done)
-		}
-	}
-	cmds, done := p.cmds, p.done
-
 	st := p.stats
 	for {
 		// Serial section: publish last window's mail, find the horizon.
@@ -490,127 +565,66 @@ func (p *Parallel) run(deadline Time, bounded bool) {
 			serialT0 = time.Now()
 		}
 		p.flipDirty(st)
-		tnext := maxTime
-		have := false
-		for pi := range p.engs {
-			p.active[pi] = false
-			next := maxTime
-			for _, mb := range p.readyBoxes[pi] {
-				if mb.readyMin < next {
-					next = mb.readyMin
-				}
-			}
-			if next < maxTime {
-				p.active[pi] = true
-				have = true
-			}
-			if t, ok := p.engs[pi].nextTime(); ok {
-				if t < next {
-					next = t
-				}
-				p.active[pi] = true
-				have = true
-			}
-			p.nexts[pi] = next
-			if next < tnext {
-				tnext = next
-			}
-		}
-		// Scripted actions (fault campaigns) cut the timeline exactly at
-		// their timestamp: fire when nothing earlier is pending, otherwise
-		// clamp the window to end strictly before the action.
+		tnext := p.horizon()
+
+		// Timeline cuts: the next sample boundary and the next scripted
+		// action. A cut fires once nothing earlier is pending, every
+		// clock parked on it; a sample fires before an action at the
+		// same instant. An unbounded run samples only while work (events,
+		// mail or actions) is pending.
 		aat, aok := Time(0), false
 		if p.actionNext != nil {
 			aat, aok = p.actionNext()
-			if aok && bounded && aat > deadline {
+			if aok && aat > deadline {
 				aok = false
 			}
 		}
-		if aok && (!have || aat <= tnext) {
-			for _, e := range p.engs {
-				e.AlignTo(aat)
-			}
-			// Fire every sample boundary the jump crosses, each at its
-			// exact time (matching the serial engine's probe semantics).
-			for p.sampleFn != nil && p.sampleNext <= aat {
-				at := p.sampleNext
-				p.sampleNext += p.sampleEvery
-				p.sampleFn(at)
-			}
-			p.actionFire(aat)
-			if st != nil {
-				st.serial.Add(time.Since(serialT0).Nanoseconds())
-			}
+		cutEnd := tnext
+		if aok && aat < cutEnd {
+			cutEnd = aat
+		}
+		sok := p.sampleFn != nil && p.sampleNext <= deadline &&
+			(bounded || cutEnd < maxTime)
+		if sok && p.sampleNext <= cutEnd {
+			at := p.sampleNext
+			p.alignTo(at)
+			p.sampleNext += p.sampleEvery
+			p.sampleFn(at)
+			st.addSerial(serialT0)
 			continue
 		}
-		if !have || (bounded && tnext > deadline) {
-			if st != nil {
-				st.serial.Add(time.Since(serialT0).Nanoseconds())
-			}
+		if aok && aat <= tnext {
+			p.alignTo(aat)
+			p.actionFire(aat)
+			st.addSerial(serialT0)
+			continue
+		}
+		if tnext == maxTime || tnext > deadline {
+			st.addSerial(serialT0)
 			break
 		}
 
-		// First and second smallest per-partition horizons, for the
-		// uniform fallback (no pair matrix): partition pi's bound is the
-		// smallest next over its peers, which is m1 unless pi itself is
-		// the unique holder of m1, then m2.
-		m1, m2, m1i := maxTime, maxTime, -1
-		if p.dist == nil {
-			for pi, t := range p.nexts {
-				if t < m1 {
-					m1, m2, m1i = t, m1, pi
-				} else if t < m2 {
-					m2 = t
-				}
-			}
-		}
-
-		// wmin is the time every active partition is guaranteed to have
-		// reached after the window — the instant a pending sample hook
-		// observes a fully quiesced simulation.
+		// Window bounds end strictly before the next cut and at the
+		// deadline. wmin, the narrowest bound, feeds the window-width
+		// accounting.
 		wmin := maxTime
+		dispatched, lone := 0, -1
 		for pi := range p.engs {
 			if !p.active[pi] {
 				continue
 			}
-			var w Time
-			if p.dist != nil {
-				// Per-pair bound: the earliest instant any peer's pending
-				// work could influence pi.
-				w = maxTime
-				for qi, t := range p.nexts {
-					if qi == pi || t == maxTime {
-						continue
-					}
-					d := p.dist[qi][pi]
-					if d == maxTime {
-						continue
-					}
-					b := t + d
-					if b < t { // overflow
-						b = maxTime
-					}
-					if b < w {
-						w = b
-					}
-				}
-			} else {
-				other := m1
-				if pi == m1i {
-					other = m2
-				}
-				w = other + p.look
-				if w < other { // overflow (peers idle: other == maxTime)
-					w = maxTime
-				}
+			if dispatched == 0 {
+				lone = pi
 			}
-			if p.sampleFn != nil && p.sampleNext > tnext && w > p.sampleNext {
-				w = p.sampleNext
+			dispatched++
+			w := p.bound(pi)
+			if sok && w >= p.sampleNext {
+				w = p.sampleNext - 1 // sampleNext > tnext here: window non-empty
 			}
 			if aok && w >= aat {
 				w = aat - 1 // aat > tnext here, so the window stays non-empty
 			}
-			if bounded && w > deadline {
+			if w > deadline {
 				w = deadline
 			}
 			p.bounds[pi] = w
@@ -623,67 +637,44 @@ func (p *Parallel) run(deadline Time, bounded bool) {
 		// lone active partition runs inline on the coordinator — no
 		// channel round-trip, no worker wakeup.
 		if st != nil {
-			st.serial.Add(time.Since(serialT0).Nanoseconds())
+			st.addSerial(serialT0)
 			st.resetWindow()
 			st.noteWidth(wmin-tnext, p.look)
-		}
-		dispatched, lone := 0, -1
-		for pi := range p.engs {
-			if p.active[pi] {
-				if dispatched == 0 {
-					lone = pi
-				}
-				dispatched++
-			}
 		}
 		if dispatched == 1 {
 			p.execWindow(lone, p.bounds[lone])
 		} else {
+			if p.cmds == nil {
+				p.startWorkers()
+			}
 			for pi := range p.engs {
 				if p.active[pi] {
-					cmds[pi] <- p.bounds[pi]
+					p.cmds[pi] <- p.bounds[pi]
 				}
 			}
 			for i := 0; i < dispatched; i++ {
-				<-done
+				<-p.done
 			}
 		}
 		if st != nil {
 			st.noteWindow(p.active)
 		}
 
-		// Serial section: merge shards, repatriate pool releases, sample.
+		// Serial section: merge shards, repatriate pool releases.
 		if p.barrier != nil {
 			p.barrier()
 		}
-		if p.sampleFn != nil && p.sampleNext <= wmin {
-			for p.sampleNext <= wmin {
-				p.sampleNext += p.sampleEvery
-			}
-			p.sampleFn(wmin)
-		}
 	}
 
-	// Align every clock to the common end time. The jump is a
-	// quiescence fast-forward: every sample boundary it crosses fires
-	// its own call at its exact virtual time (mirrors the serial
-	// engine's exact-wake probe semantics), so an idle tail — e.g.
-	// doorbell receivers parked with no events pending — still produces
-	// the full monitor sample train.
+	// Align every clock to the common end time: the latest partition
+	// clock, or the deadline of a bounded run.
 	target := p.Now()
 	if bounded && deadline > target {
 		target = deadline
 	}
-	for _, e := range p.engs {
-		e.RunUntil(target)
-	}
+	p.alignTo(target)
 	if p.barrier != nil {
 		p.barrier()
-	}
-	for p.sampleFn != nil && p.sampleNext <= target {
-		at := p.sampleNext
-		p.sampleNext += p.sampleEvery
-		p.sampleFn(at)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -58,7 +59,7 @@ func TestParallelMatchesSerialRelay(t *testing.T) {
 	rb := &relay{out: toA, delta: delta, peer: ra}
 	ra.peer = rb
 	ea.Schedule(5*Nanosecond, ra, EventArg{I: n})
-	p, err := NewParallel([]*Engine{ea, eb}, [][]*Mailbox{{toA}, {toB}}, look)
+	p, err := NewParallel([]*Engine{ea, eb}, [][]*Mailbox{{toA}, {toB}}, uniform(2, look))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestParallelRunForAlignsClocks(t *testing.T) {
 	ea, eb := NewEngine(), NewEngine()
 	fired := 0
 	ea.At(3*Nanosecond, func() { fired++ })
-	p, err := NewParallel([]*Engine{ea, eb}, [][]*Mailbox{nil, nil}, 5*Nanosecond)
+	p, err := NewParallel([]*Engine{ea, eb}, [][]*Mailbox{nil, nil}, uniform(2, 5*Nanosecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +111,28 @@ func TestParallelRunForAlignsClocks(t *testing.T) {
 	}
 }
 
+// uniform returns an n-partition direct lookahead matrix with every
+// off-diagonal pair at look.
+func uniform(n int, look Time) [][]Time {
+	m := make([][]Time, n)
+	for i := range m {
+		m[i] = make([]Time, n)
+		for j := range m[i] {
+			if i != j {
+				m[i][j] = look
+			}
+		}
+	}
+	return m
+}
+
+// TestParallelRejectsZeroLookahead refuses mail wiring whose only
+// sender has a zero or negative pair lookahead: such a window could
+// never advance.
 func TestParallelRejectsZeroLookahead(t *testing.T) {
-	e := NewEngine()
+	engs := []*Engine{NewEngine(), NewEngine()}
 	for _, look := range []Time{0, -Nanosecond} {
-		_, err := NewParallel([]*Engine{e}, [][]*Mailbox{nil}, look)
+		_, err := NewParallel(engs, [][]*Mailbox{nil, {&Mailbox{}}}, uniform(2, look))
 		if err == nil {
 			t.Fatalf("lookahead %v accepted; a non-positive window livelocks", look)
 		}
@@ -123,29 +142,55 @@ func TestParallelRejectsZeroLookahead(t *testing.T) {
 	}
 }
 
+// TestSetPairLookaheadValidation rejects malformed pair lookahead
+// matrices and derives the global lookahead as the smallest direct
+// entry.
+func TestSetPairLookaheadValidation(t *testing.T) {
+	engs := []*Engine{NewEngine(), NewEngine()}
+	for name, m := range map[string][][]Time{
+		"short":  {{0, 10 * Nanosecond}},
+		"ragged": {{0, 10 * Nanosecond}, {0}},
+	} {
+		_, err := NewParallel(engs, [][]*Mailbox{nil, nil}, m)
+		if err == nil {
+			t.Errorf("%s matrix accepted", name)
+		} else if !strings.Contains(err.Error(), "lookahead") {
+			t.Errorf("%s: error %q does not explain the lookahead constraint", name, err)
+		}
+	}
+	p, err := NewParallel(engs, [][]*Mailbox{nil, nil}, [][]Time{{0, 30 * Nanosecond}, {10 * Nanosecond, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Lookahead() != 10*Nanosecond {
+		t.Fatalf("Lookahead() = %v, want the smallest direct entry 10ns", p.Lookahead())
+	}
+	solo, err := NewParallel([]*Engine{NewEngine()}, [][]*Mailbox{nil}, [][]Time{{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solo.Lookahead() != 0 {
+		t.Fatalf("one-partition Lookahead() = %v, want 0", solo.Lookahead())
+	}
+}
+
 func TestParallelSampleHook(t *testing.T) {
 	ea, eb := NewEngine(), NewEngine()
 	tick := &serialRelay{delta: Microsecond}
 	tick.peer = tick
 	ea.Schedule(Microsecond, tick, EventArg{I: 9})
-	p, err := NewParallel([]*Engine{ea, eb}, [][]*Mailbox{nil, nil}, 2*Nanosecond)
+	p, err := NewParallel([]*Engine{ea, eb}, [][]*Mailbox{nil, nil}, uniform(2, 2*Nanosecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var samples []Time
 	p.SetSampleHook(3*Microsecond, func(now Time) { samples = append(samples, now) })
 	p.Run()
-	if len(samples) == 0 {
-		t.Fatalf("sample hook never fired")
-	}
-	for i, s := range samples {
-		if i > 0 && s <= samples[i-1] {
-			t.Fatalf("samples not strictly increasing: %v", samples)
-		}
-	}
-	// Events run to 10us; boundaries at 3, 6, 9us must all be covered.
-	if samples[len(samples)-1] < 9*Microsecond {
-		t.Fatalf("last sample %v before final boundary", samples[len(samples)-1])
+	// Events run to 10us: the boundaries at 3, 6 and 9us fire exactly,
+	// and Run stops sampling once nothing is pending.
+	want := []Time{3 * Microsecond, 6 * Microsecond, 9 * Microsecond}
+	if !reflect.DeepEqual(samples, want) {
+		t.Fatalf("samples = %v, want %v", samples, want)
 	}
 }
 
@@ -154,7 +199,7 @@ func TestParallelBarrierHookRuns(t *testing.T) {
 	done := 0
 	ea.At(Nanosecond, func() { done++ })
 	ea.At(20*Nanosecond, func() { done++ })
-	p, err := NewParallel([]*Engine{ea}, [][]*Mailbox{nil}, 2*Nanosecond)
+	p, err := NewParallel([]*Engine{ea}, [][]*Mailbox{nil}, [][]Time{{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +270,8 @@ func TestParallelSnapBackExactDelivery(t *testing.T) {
 		ea.Schedule(Time(i)*3*Nanosecond, filler, EventArg{})
 	}
 	ea.Schedule(postT, poster, EventArg{})
-	p, err := NewParallel([]*Engine{ea, eb}, [][]*Mailbox{nil, {toB}}, look)
+	p, err := NewParallel([]*Engine{ea, eb}, [][]*Mailbox{nil, {toB}}, uniform(2, look))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetPairLookahead([][]Time{{0, look}, {look, 0}}); err != nil {
 		t.Fatal(err)
 	}
 	st := NewParallelStats(2)
@@ -300,16 +342,12 @@ func TestParallelPairLookaheadChain(t *testing.T) {
 	p, err := NewParallel(
 		[]*Engine{ea, eb, ec},
 		[][]*Mailbox{{toA}, {toB, toB2}, {toC}},
-		lookAB,
+		[][]Time{
+			{0, lookAB, 0},
+			{lookAB, 0, lookBC},
+			{0, lookBC, 0},
+		},
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = p.SetPairLookahead([][]Time{
-		{0, lookAB, 0},
-		{lookAB, 0, lookBC},
-		{0, lookBC, 0},
-	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,19 +374,5 @@ func TestParallelPairLookaheadChain(t *testing.T) {
 	}
 	if p.Now() != se.Now() {
 		t.Fatalf("final time diverged: parallel %v, serial %v", p.Now(), se.Now())
-	}
-}
-
-// TestSetPairLookaheadValidation rejects malformed matrices.
-func TestSetPairLookaheadValidation(t *testing.T) {
-	p, err := NewParallel([]*Engine{NewEngine(), NewEngine()}, [][]*Mailbox{nil, nil}, 10*Nanosecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetPairLookahead([][]Time{{0, 10 * Nanosecond}}); err == nil {
-		t.Error("short matrix accepted")
-	}
-	if err := p.SetPairLookahead([][]Time{{0, Nanosecond}, {Nanosecond, 0}}); err == nil {
-		t.Error("pair lookahead below global lookahead accepted")
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // ParallelStats accounts for where the parallel executor's wall time
 // goes: per-partition busy time and events executed, barrier wait (the
@@ -50,9 +53,8 @@ type ParallelStats struct {
 
 	// Partition-cut description, set once at setup by whoever derived
 	// the partitions; not touched by the run loop.
-	cutLinks    int
-	cutWeight   float64
-	partitioner string
+	cutLinks  int
+	cutWeight float64
 }
 
 // NewParallelStats sizes the accounting for n partitions.
@@ -78,13 +80,19 @@ func (s *ParallelStats) addMail(from, to, cnt int) {
 	s.mail[from*s.n+to].Add(uint64(cnt))
 }
 
-// SetCut records how the partition cut was derived: the partitioner's
-// name, the number of cross-partition links, and their total affinity
-// weight. Setup time only.
-func (s *ParallelStats) SetCut(partitioner string, links int, weight float64) {
-	s.partitioner = partitioner
+// SetCut records the partition cut: the number of cross-partition
+// links and their total affinity weight. Setup time only.
+func (s *ParallelStats) SetCut(links int, weight float64) {
 	s.cutLinks = links
 	s.cutWeight = weight
+}
+
+// addSerial adds the wall time since t0 to the coordinator's serial
+// section total. Coordinator only; a no-op on nil stats.
+func (s *ParallelStats) addSerial(t0 time.Time) {
+	if s != nil {
+		s.serial.Add(time.Since(t0).Nanoseconds())
+	}
 }
 
 // noteWidth folds one window's width (virtual ps) into the geometry
@@ -166,12 +174,11 @@ type ParallelSummary struct {
 	// published toward partition j.
 	MailboxPosts [][]uint64 `json:"mailbox_posts"`
 
-	// Partitioner, CutLinks and CutWeight describe how the partition
-	// cut was derived (see ParallelStats.SetCut); zero values when the
-	// deriving layer did not report them.
-	Partitioner string  `json:"partitioner,omitempty"`
-	CutLinks    int     `json:"cut_links,omitempty"`
-	CutWeight   float64 `json:"cut_weight,omitempty"`
+	// CutLinks and CutWeight describe the partition cut (see
+	// ParallelStats.SetCut); zero values when the deriving layer did
+	// not report them.
+	CutLinks  int     `json:"cut_links,omitempty"`
+	CutWeight float64 `json:"cut_weight,omitempty"`
 
 	// DirtyFlips counts mailbox flips the coordinator performed; a full
 	// matrix scan would have paid Windows × Partitions² of them.
@@ -234,7 +241,6 @@ func (s *ParallelStats) Summary() ParallelSummary {
 		}
 		out.MailboxPosts[i] = row
 	}
-	out.Partitioner = s.partitioner
 	out.CutLinks = s.cutLinks
 	out.CutWeight = s.cutWeight
 	out.DirtyFlips = s.dirtyFlips.Load()

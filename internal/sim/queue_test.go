@@ -243,48 +243,3 @@ func TestScheduleAfterNegativePanics(t *testing.T) {
 	}()
 	e.ScheduleAfter(-1, handlerFunc(func(*Engine, EventArg) {}), EventArg{})
 }
-
-// An armed probe whose wake time falls between the last event and the
-// RunUntil deadline must fire on the final clock jump — at its exact
-// wake time, not at the deadline the fast-forward lands on.
-func TestRunUntilFiresProbeOnFinalClockJump(t *testing.T) {
-	e := NewEngine()
-	var wakes []Time
-	e.SetProbe(func(now Time) Time {
-		wakes = append(wakes, now)
-		return now + 100*Nanosecond
-	}, 50*Nanosecond)
-	e.At(10*Nanosecond, func() {})
-	e.RunUntil(80 * Nanosecond)
-	// The 10ns event is before the 50ns wake; the jump to the 80ns
-	// deadline crosses the wake, which fires exactly at 50ns.
-	if len(wakes) != 1 || wakes[0] != 50*Nanosecond {
-		t.Fatalf("wakes after first RunUntil = %v, want [50ns]", wakes)
-	}
-	if e.Now() != 80*Nanosecond {
-		t.Fatalf("Now() = %v, want 80ns", e.Now())
-	}
-	// Probe re-armed at 150ns: an event-free run to 200ns fires it
-	// at 150ns on the deadline jump.
-	e.RunUntil(200 * Nanosecond)
-	if len(wakes) != 2 || wakes[1] != 150*Nanosecond {
-		t.Fatalf("wakes after second RunUntil = %v, want [50ns 150ns]", wakes)
-	}
-	if e.Now() != 200*Nanosecond {
-		t.Fatalf("Now() = %v, want 200ns", e.Now())
-	}
-}
-
-func TestRunUntilProbeDisarmOnFinalJump(t *testing.T) {
-	e := NewEngine()
-	calls := 0
-	e.SetProbe(func(now Time) Time {
-		calls++
-		return 0 // disarm
-	}, 50*Nanosecond)
-	e.RunUntil(100 * Nanosecond)
-	e.RunUntil(300 * Nanosecond)
-	if calls != 1 {
-		t.Fatalf("disarmed probe fired %d times, want 1", calls)
-	}
-}
