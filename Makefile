@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt fmt-check vet build test race test-race bench bench-smoke bench-json bench-engine bench-engine-check bench-parallel bench-parallel-check bench-faults bench-faults-check bench-prof bench-serve bench-serve-check fuzz scenario-smoke
+.PHONY: all check fmt fmt-check vet build test test-stepwise race test-race bench bench-smoke bench-json bench-engine bench-engine-check bench-parallel bench-parallel-check bench-faults bench-faults-check bench-prof bench-serve bench-serve-check fuzz scenario-smoke
 
 all: check
 
@@ -25,6 +25,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The whole suite on the stepwise oracle: transit hops are never fired
+# ahead and credit coupons are never deferred (see internal/sim/defer.go),
+# so every golden, determinism and archived-result test checks that path
+# too.
+test-stepwise:
+	$(GO) test -tags stepwise ./...
 
 race:
 	$(GO) test -race ./...

@@ -255,3 +255,9 @@ func (c *Cluster) Close() { c.runner.Close() }
 // EventsFired returns the total number of simulation events executed
 // across all partitions.
 func (c *Cluster) EventsFired() uint64 { return c.runner.Fired() }
+
+// EventsQueued returns how many of the fired events went through an
+// event queue. The rest were transit hops fired ahead and credit
+// coupons applied lazily (see sim.Reserve); EventsFired counts them
+// all, exactly as a stepwise run does.
+func (c *Cluster) EventsQueued() uint64 { return c.runner.Queued() }

@@ -226,6 +226,23 @@ type Port struct {
 	// coupon returns, both on the transmitter's partition), so a split
 	// link's two sides never share a free list.
 	recFree *txRec
+
+	// coupons holds credit coupons returning to this port that were
+	// reserved on its engine instead of queued (see rxDone). Only a port
+	// with nothing queued defers coupons: a coupon's event would just
+	// release credits, so the passed ones are applied when the port next
+	// needs credits (landCoupons), and all of them are queued at their
+	// keys the moment a packet has to wait here (queueCoupons). Not in
+	// FIFO order: a transit hop fired ahead reserves a coupon later than
+	// ones reserved after it.
+	coupons []coupon
+}
+
+// coupon is one deferred credit return: its reserved event key and the
+// transfer record it releases.
+type coupon struct {
+	key sim.Key
+	rec *txRec
 }
 
 // pktQueue is a FIFO of packets that pops by advancing a head index
@@ -311,7 +328,23 @@ type Link struct {
 	prof      *prof.LinkProf
 	profSpans bool
 	profSerD  sim.Time // counted-constant serialization time (64B posted write)
+
+	// Wire times at the trained speed and width, set by finishTraining:
+	// a credit coupon's return delay (flight plus a 4-byte Nop) and the
+	// serialization of the dominant 64-byte posted write.
+	couponD   sim.Time
+	serPosted sim.Time
 }
+
+// postedWire is the wire length of a 64-byte posted write, the packet
+// almost all TCCluster traffic is made of.
+var postedWire = func() int {
+	pkt, err := NewPostedWrite(0, make([]byte, 64))
+	if err != nil {
+		panic(err)
+	}
+	return EncodedLen(pkt)
+}()
 
 // Event opcodes carried in sim.EventArg.I. The low 16 bits select the
 // operation; opTrainDone packs its negotiated speed and width into the
@@ -442,6 +475,7 @@ func (l *Link) SetProfiler(lp *prof.LinkProf, spans bool) {
 // while the link is quiescent (no packets in flight) and sticks until
 // Rebind; retraining a split link is not supported.
 func (l *Link) Split(engA, engB *sim.Engine, mailToA, mailToB *sim.Mailbox, trA, trB trace.Tracer) {
+	l.settleCoupons()
 	l.engs = [2]*sim.Engine{engA, engB}
 	l.mail = [2]*sim.Mailbox{mailToA, mailToB}
 	if trA != nil {
@@ -455,8 +489,20 @@ func (l *Link) Split(engA, engB *sim.Engine, mailToA, mailToB *sim.Mailbox, trA,
 // Rebind moves both sides of an unsplit link onto eng, used when a
 // whole node (and its internal links) migrates to a partition engine.
 func (l *Link) Rebind(eng *sim.Engine) {
+	l.settleCoupons()
 	l.engs = [2]*sim.Engine{eng, eng}
 	l.mail = [2]*sim.Mailbox{}
+}
+
+// settleCoupons empties both ports' deferred coupons before the link
+// moves engines, whose keys mean nothing on the new ones: passed coupons
+// land, and the rest are queued on the old engine, where their stepwise
+// events would sit.
+func (l *Link) settleCoupons() {
+	for _, p := range l.ports {
+		p.landCoupons()
+		p.queueCoupons()
+	}
 }
 
 // FlightTime returns the configured propagation delay, one of the two
@@ -599,6 +645,13 @@ func (p *Port) Send(pkt *Packet) error {
 		pkt.profT = l.engs[p.side].Now()
 	}
 	vc := pkt.Cmd.VC()
+	if p.QueuedPackets() == 0 && p.canSend(pkt) {
+		// Nothing ahead of it and the credits in hand: exactly what
+		// queueing it and pumping would do.
+		p.credits.Consume(pkt)
+		p.transmit(pkt)
+		return nil
+	}
 	if p.waitq[vc].len() > 0 || !p.credits.CanSend(pkt) {
 		p.stats.creditStalls.Add(1)
 		if tr := l.trc[p.side]; tr != nil {
@@ -610,7 +663,68 @@ func (p *Port) Send(pkt *Packet) error {
 	}
 	p.waitq[vc].push(pkt)
 	p.pump()
+	if len(p.coupons) > 0 && p.QueuedPackets() > 0 {
+		// A packet waits: from here on each coupon's event must pump.
+		p.queueCoupons()
+	}
 	return nil
+}
+
+// CanCutThrough reports whether a Send of pkt issued now would start
+// serializing at once on its own: the link is active and on one engine,
+// untraced, nothing is queued and the credits are in hand. A transit hop
+// fired ahead relies on it (see nb's receive).
+func (p *Port) CanCutThrough(pkt *Packet) bool {
+	l := p.link
+	if l.state != StateActive || l.split() || l.trc[p.side] != nil || p.QueuedPackets() != 0 {
+		return false
+	}
+	return p.canSend(pkt)
+}
+
+// canSend reports whether the port holds the credits for pkt, landing
+// deferred coupons first when it does not yet. Credits matter only at
+// such a decision, so coupons are landed no earlier.
+func (p *Port) canSend(pkt *Packet) bool {
+	if p.credits.CanSend(pkt) {
+		return true
+	}
+	if len(p.coupons) == 0 {
+		return false
+	}
+	p.landCoupons()
+	return p.credits.CanSend(pkt)
+}
+
+// landCoupons applies every deferred coupon whose key has passed: its
+// credits return, exactly as its event would have returned them. The
+// event's pump had nothing to move, since coupons defer only while
+// nothing is queued.
+func (p *Port) landCoupons() {
+	eng := p.link.engs[p.side]
+	kept := p.coupons[:0]
+	for _, c := range p.coupons {
+		if !eng.Passed(c.key) {
+			kept = append(kept, c)
+			continue
+		}
+		vc, hasData := c.rec.vc, c.rec.hasData
+		p.putRec(c.rec)
+		p.credits.ReleaseShape(vc, hasData)
+	}
+	clear(p.coupons[len(kept):])
+	p.coupons = kept
+}
+
+// queueCoupons turns every deferred coupon into its credit-return event,
+// at its reserved key.
+func (p *Port) queueCoupons() {
+	eng := p.link.engs[p.side]
+	for i, c := range p.coupons {
+		eng.ScheduleReserved(c.key, p.link, sim.EventArg{Ptr: c.rec, I: opCredit})
+		p.coupons[i] = coupon{}
+	}
+	p.coupons = p.coupons[:0]
 }
 
 // QueuedPackets returns how many packets are waiting for credits or
@@ -627,6 +741,7 @@ func (p *Port) QueuedPackets() int {
 // toward the peer have been returned — the state an idle fabric must be
 // in after any completed workload.
 func (p *Port) CheckIdle() error {
+	p.landCoupons()
 	if n := p.QueuedPackets(); n != 0 {
 		return fmt.Errorf("ht: port %s holds %d queued packets", p.name, n)
 	}
@@ -658,7 +773,10 @@ func (p *Port) transmit(pkt *Packet) {
 	eng := l.engs[p.side]
 	pkt.Accept()
 	wire := EncodedLen(pkt)
-	ser := l.byteTime(wire)
+	ser := l.serPosted
+	if wire != postedWire {
+		ser = l.byteTime(wire)
+	}
 	seq := p.stats.pktsSent.Add(1)
 	// Link-level retry: each corrupted serialization costs the CRC
 	// detection + resync penalty plus a replay of the packet. The
@@ -774,17 +892,23 @@ func (l *Link) deliver(rec *txRec) {
 
 // rxDone is the Sink done contract: the receive buffer has drained, so
 // the credit coupon rides back on the reverse channel — flight plus a
-// 4-byte Nop serialization.
+// 4-byte Nop serialization. When the transmitter has nothing queued the
+// coupon's event would only release credits, so it is reserved instead
+// of queued and lands lazily (see Port.coupons).
 func (l *Link) rxDone(rec *txRec) {
 	if rec.released {
 		panic("ht: rx-buffer done() called twice")
 	}
 	rec.released = true
-	delay := l.cfg.Flight + l.byteTime(4)
 	// rxDone runs on the receiving side; the coupon lands back at the
 	// transmitter's partition.
-	now := l.engs[1-rec.p.side].Now()
-	l.sched(rec.p.side, now+delay, sim.EventArg{Ptr: rec, I: opCredit})
+	p := rec.p
+	at := l.engs[1-p.side].Now() + l.couponD
+	if !l.split() && p.QueuedPackets() == 0 && !sim.Stepwise() {
+		p.coupons = append(p.coupons, coupon{key: l.engs[p.side].Reserve(at), rec: rec})
+		return
+	}
+	l.sched(p.side, at, sim.EventArg{Ptr: rec, I: opCredit})
 }
 
 // creditReturn releases rec's credits at the transmitter. It releases by
@@ -977,9 +1101,15 @@ func (l *Link) beginTraining(speed Speed, width int) {
 // that were negotiated when it began (they ride in the event argument,
 // so overlapping reset sequences stay independent).
 func (l *Link) finishTraining(speed Speed, width int) {
+	// Coupons that landed before now release into the counters being
+	// replaced, as their events did; later ones top up the fresh ones.
+	l.ports[0].landCoupons()
+	l.ports[1].landCoupons()
 	l.state = StateActive
 	l.speed = speed
 	l.width = width
+	l.couponD = l.cfg.Flight + l.byteTime(4)
+	l.serPosted = l.byteTime(postedWire)
 	l.typ = l.negotiateType()
 	l.trainings++
 	l.ports[0].credits = NewCredits(l.ports[1].bufferCfg())

@@ -145,7 +145,26 @@ type Northbridge struct {
 	exile   func(*ht.Packet)
 	recFree *nbRec // free list of pipeline-stage records
 	cwFree  *cwRec // free list of posted-write completion records
+
+	// Cut-through bookkeeping (see receive). pendEg[l] counts pending
+	// dispatch events predicted to send on link l; pendAny those that may
+	// send anywhere (broadcasts, local accesses answered by a response,
+	// and every prediction made before the address map last changed).
+	// respOut counts response-producing DRAM accesses not yet answered.
+	// epoch advances when the address map changes under pending
+	// dispatches, whose predictions then count as pendAny.
+	pendEg    [MaxLinks]int32
+	pendAny   int32
+	pendTotal int32
+	respOut   int32
+	epoch     uint32
 }
+
+// Egress predictions besides a link index (see predictEgress).
+const (
+	egNone = -1 // sends on no link
+	egAny  = -2 // may send on any link
+)
 
 // cwRec adapts a CPUWrite completion callback to a packet's OnAccept
 // hook. Records are pooled and the fire closure is built once per
@@ -180,6 +199,7 @@ const (
 	nbOpInject                 // CPU packet clears the SRQ: route, then done
 	nbOpDRAM                   // IO-bridge delay done: access the controller
 	nbOpLocalRead              // CPU-local read reaches the controller
+	nbOpTransit                // a transit dispatch fired ahead (see receive)
 )
 
 // nbRec carries one packet (or read request) through a pipeline-stage
@@ -198,6 +218,8 @@ type nbRec struct {
 	tag     uint8
 	srcNode int
 	rdCB    func([]byte, error)
+	eg      int    // predicted egress of a pending dispatch
+	epoch   uint32 // address-map epoch of that prediction
 
 	wrVisible func(error)         // posted-write visibility in DRAM
 	npVisible func(error)         // non-posted write visibility -> TgtDone
@@ -229,6 +251,7 @@ func (n *Northbridge) OnEvent(_ *sim.Engine, arg sim.EventArg) {
 	rec := arg.Ptr.(*nbRec)
 	switch arg.I {
 	case nbOpDispatch:
+		n.unpend(rec)
 		pkt, done, from, bridged := rec.pkt, rec.done, rec.from, rec.bridged
 		rec.bridged = false
 		n.putRec(rec)
@@ -245,7 +268,19 @@ func (n *Northbridge) OnEvent(_ *sim.Engine, arg sim.EventArg) {
 			}
 		}
 		n.dispatch(from, pkt, done)
+	case nbOpTransit:
+		// Fired ahead inside the delivery that predicted eg, so the
+		// address map has not changed: a request forwards exactly as
+		// handleRequest would send it.
+		pkt, done, from, eg := rec.pkt, rec.done, rec.from, rec.eg
+		n.putRec(rec)
+		if pkt.Cmd.VC() == ht.VCResponse {
+			n.handleResponse(from, pkt, done)
+		} else {
+			n.forward(from, eg, pkt, done)
+		}
 	case nbOpInject:
+		n.unpend(rec)
 		pkt, done := rec.pkt, rec.done
 		n.putRec(rec)
 		n.dispatch(-1, pkt, nil)
@@ -318,6 +353,7 @@ func (n *Northbridge) SetNodeID(id uint8) error {
 	if id >= MaxNodes {
 		return fmt.Errorf("nb: NodeID %d exceeds 3 bits", id)
 	}
+	n.remap()
 	n.nodeID = id
 	return nil
 }
@@ -454,6 +490,7 @@ func (n *Northbridge) SetDRAMRange(i int, r DRAMRange) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
+	n.remap()
 	n.dram[i] = r
 	return nil
 }
@@ -466,6 +503,7 @@ func (n *Northbridge) SetMMIORange(i int, r MMIORange) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
+	n.remap()
 	n.mmio[i] = r
 	return nil
 }
@@ -475,6 +513,7 @@ func (n *Northbridge) SetRoute(id uint8, e RouteEntry) error {
 	if id >= MaxNodes {
 		return fmt.Errorf("nb: route index %d out of range", id)
 	}
+	n.remap()
 	n.route[id] = e
 	return nil
 }
@@ -529,6 +568,14 @@ func (n *Northbridge) DecodeAddress(a uint64) Decision {
 // the final timestamp. The per-stage latencies still appear in the
 // profiler budgets as counted constants, so attribution is unchanged;
 // only the intermediate event-queue traffic disappears.
+//
+// A transit request — one forwarded out another link — goes further
+// when its hop cannot be told apart from an idle one: its dispatch
+// fires ahead, inside this delivery, at its own key (sim.FireAhead), so
+// the egress send, the upstream credit coupon and every counter and
+// profiler phase read the dispatch instant exactly as stepwise. That
+// needs nothing between now and then to touch the egress or the
+// packet, which cutThrough checks.
 func (n *Northbridge) receive(idx int, pkt *ht.Packet, done func()) {
 	n.cnt.pktsFromLinks.Add(1)
 	now := n.eng.Now()
@@ -544,13 +591,103 @@ func (n *Northbridge) receive(idx int, pkt *ht.Packet, done func()) {
 	rec := n.getRec()
 	rec.pkt, rec.done, rec.from = pkt, done, idx
 	t := at + n.par.HopLatency
-	if pkt.Cmd != ht.CmdBroadcast && pkt.Cmd.VC() != ht.VCResponse && !n.LinkIsCoherent(idx) {
-		if d := n.DecodeAddress(pkt.Addr); d.Kind == DecideLocalDRAM {
-			rec.bridged = true
-			t += n.par.IOBridgeLatency
+	eg, local := n.predictEgress(pkt)
+	if local && !n.LinkIsCoherent(idx) {
+		rec.bridged = true
+		t += n.par.IOBridgeLatency
+	}
+	if eg >= 0 && n.cutThrough(eg, pkt, t) {
+		rec.eg = eg
+		n.eng.FireAhead(n.eng.Reserve(t), n, sim.EventArg{Ptr: rec, I: nbOpTransit})
+		return
+	}
+	n.pend(rec, eg)
+	n.eng.Schedule(t, n, sim.EventArg{Ptr: rec, I: nbOpDispatch})
+}
+
+// cutThrough reports whether pkt's dispatch at t may fire ahead: it
+// forwards out link eg, and nothing that could fire before t can send
+// on eg, reach the packet, or observe the difference. That is: no
+// completion hook rides the packet; no earlier dispatch here may send on
+// eg, and no DRAM access awaits its response; the egress port would
+// serialize at once (credits in hand, nothing queued, one engine, so
+// not a partition cut); nothing is traced, since a trace records
+// emission order; and no timeline cut falls in (now, t].
+func (n *Northbridge) cutThrough(eg int, pkt *ht.Packet, t sim.Time) bool {
+	port := n.links[eg]
+	return pkt.OnAccept == nil && n.tracer == nil && n.respOut == 0 &&
+		n.pendAny == 0 && n.pendEg[eg] == 0 && port != nil &&
+		port.CanCutThrough(pkt) && n.eng.CanFireAhead(t)
+}
+
+// predictEgress decodes where dispatching pkt would send it with the
+// address map as it stands: a link index, egNone or egAny. local reports
+// a request for this node's DRAM.
+func (n *Northbridge) predictEgress(pkt *ht.Packet) (eg int, local bool) {
+	switch {
+	case pkt.Cmd == ht.CmdBroadcast:
+		return egAny, false
+	case pkt.Cmd.VC() == ht.VCResponse:
+		if uint8(pkt.DstNode) == n.nodeID {
+			return egNone, false
+		}
+		eg = int(n.route[pkt.DstNode&0x7].RespLink)
+	default:
+		switch d := n.DecodeAddress(pkt.Addr); d.Kind {
+		case DecideLocalDRAM:
+			if answered(pkt.Cmd) {
+				return egAny, true
+			}
+			return egNone, true
+		case DecideDirectLink, DecideRouteLink:
+			eg = int(d.Link)
+		default:
+			return egNone, false
 		}
 	}
-	n.eng.Schedule(t, n, sim.EventArg{Ptr: rec, I: nbOpDispatch})
+	if eg >= MaxLinks {
+		return egNone, false // dropped as a dead link
+	}
+	return eg, false
+}
+
+// answered reports whether a local DRAM access of cmd sends a response.
+func answered(cmd ht.Command) bool {
+	return cmd == ht.CmdWrNP || cmd == ht.CmdRdSized || cmd == ht.CmdCRdBlk
+}
+
+// pend counts rec's dispatch as pending toward eg.
+func (n *Northbridge) pend(rec *nbRec, eg int) {
+	rec.eg, rec.epoch = eg, n.epoch
+	n.pendTotal++
+	switch {
+	case eg == egAny:
+		n.pendAny++
+	case eg >= 0:
+		n.pendEg[eg]++
+	}
+}
+
+// unpend retires a pending dispatch counted by pend.
+func (n *Northbridge) unpend(rec *nbRec) {
+	n.pendTotal--
+	switch {
+	case rec.epoch != n.epoch || rec.eg == egAny:
+		n.pendAny--
+	case rec.eg >= 0:
+		n.pendEg[rec.eg]--
+	}
+}
+
+// remap runs before every address-map write: predictions made for
+// pending dispatches no longer hold, so each now counts as egAny.
+func (n *Northbridge) remap() {
+	if n.pendTotal == 0 {
+		return
+	}
+	n.pendAny = n.pendTotal
+	n.pendEg = [MaxLinks]int32{}
+	n.epoch++
 }
 
 // InjectFromCPU enters a CPU-originated packet into the system request
@@ -571,6 +708,8 @@ func (n *Northbridge) InjectFromCPU(pkt *ht.Packet, done func()) {
 	}
 	rec := n.getRec()
 	rec.pkt, rec.done = pkt, done
+	eg, _ := n.predictEgress(pkt)
+	n.pend(rec, eg)
 	n.eng.Schedule(at+n.par.HopLatency, n, sim.EventArg{Ptr: rec, I: nbOpInject})
 }
 
@@ -617,6 +756,9 @@ func (n *Northbridge) handleRequest(fromLink int, pkt *ht.Packet, done func()) {
 // inline path.
 func (n *Northbridge) deliverToDRAM(fromLink int, pkt *ht.Packet, done func(), prepaid bool) {
 	n.cnt.pktsToDRAM.Add(1)
+	if answered(pkt.Cmd) {
+		n.respOut++ // until npWriteVisible or dramReadDone answers
+	}
 	pkt.Accept() // data has left the store path into the memory complex
 	fromIO := fromLink >= 0 && !n.LinkIsCoherent(fromLink)
 	if fromIO {
@@ -698,6 +840,7 @@ func (n *Northbridge) writeVisible(rec *nbRec, err error) {
 
 // npWriteVisible completes a non-posted write: answer with TgtDone.
 func (n *Northbridge) npWriteVisible(rec *nbRec, err error) {
+	n.respOut--
 	if err == nil && len(n.watches) > 0 {
 		n.notifyWatches(rec.addr, rec.nBytes)
 	}
@@ -717,6 +860,7 @@ func (n *Northbridge) npWriteVisible(rec *nbRec, err error) {
 // whatever callback the matching table holds, so recycling the packet
 // detaches it (ownership travels on with the data).
 func (n *Northbridge) dramReadDone(rec *nbRec, data []byte, err error) {
+	n.respOut--
 	done := rec.done
 	if err != nil {
 		n.putRec(rec)

@@ -4,9 +4,11 @@
 // The engine is the substrate for every timed model in this repository:
 // HyperTransport links, northbridge pipelines, memory controllers and the
 // baseline NIC models all schedule their work as events on a shared
-// Engine. Determinism is guaranteed by a strict (time, sequence) ordering
-// of events: two events scheduled for the same virtual instant fire in
-// the order they were scheduled.
+// Engine. Determinism is guaranteed by a strict (time, stamp, priority,
+// sequence) ordering of events (see queue.go): on one engine, two events
+// scheduled for the same virtual instant fire in the order they were
+// scheduled. Events whose effect can wait for, or run ahead of, their
+// turn may skip the queue while keeping that order (see defer.go).
 //
 // Events are scheduled through a typed API: a Handler receives an
 // EventArg carrying one pointer and one integer, which covers every model
@@ -94,6 +96,23 @@ type Engine struct {
 	seq   uint64
 	fired uint64
 
+	// Deferred-event state (see defer.go). cur is the key of the event
+	// now firing — or, between events, of the last one stepped — which
+	// is what Passed compares against. def holds reserved keys not yet
+	// counted, unordered: a key counts as fired once it has passed, which
+	// countPassed settles whenever the count or the next event time is
+	// read, and when def reaches defCap. elided counts them; fired counts
+	// only queued events. horizon is the earliest timeline cut (sample,
+	// scripted action or run deadline) of the current run; ahead marks a
+	// FireAhead in progress, whose key Passed reads instead of cur.
+	cur      entry
+	def      []entry
+	defCap   int
+	elided   uint64
+	horizon  Time
+	ahead    bool
+	aheadKey entry
+
 	// Lineage priority state (see queue.go's ordering contract). While a
 	// handler runs, firing is true and curPri carries the executing
 	// event's priority, which every event it schedules inherits. Outside
@@ -133,11 +152,25 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Fired reports how many events have executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
+// Fired reports how many events have executed so far. A reserved event
+// counts once its key passes, whether or not it was ever queued, so the
+// count equals a stepwise run's.
+func (e *Engine) Fired() uint64 {
+	e.countPassed()
+	return e.fired + e.elided
+}
 
-// Pending reports how many events are waiting to execute.
-func (e *Engine) Pending() int { return e.q.n }
+// Queued reports how many of the fired events went through the event
+// queue: Fired minus the reserved events that passed without being
+// queued.
+func (e *Engine) Queued() uint64 { return e.fired }
+
+// Pending reports how many events are waiting to execute, reserved ones
+// included.
+func (e *Engine) Pending() int {
+	e.countPassed()
+	return e.q.n + len(e.def)
+}
 
 // Schedule queues h to receive arg at absolute virtual time t.
 // Scheduling into the past panics: a causal model must never rewind the
@@ -206,20 +239,26 @@ func (e *Engine) After(d Time, fn func()) {
 }
 
 // Step executes the next pending event, advancing the clock to its
-// timestamp. It reports whether an event was executed.
-func (e *Engine) Step() bool { return e.stepBy(maxTime) }
+// timestamp. It reports whether an event was executed. A single step is
+// its own timeline cut: nothing fires ahead of it.
+func (e *Engine) Step() bool {
+	e.horizon = 0
+	return e.stepBy(maxTime)
+}
 
 // stepBy executes the next pending event if its timestamp is at or
-// before limit, and reports whether it did.
+// before limit, and reports whether it did. When no queued event is
+// due, the reserved keys up to limit are stepped past instead (see
+// stepReserved).
 func (e *Engine) stepBy(limit Time) bool {
 	en, ok := e.q.popBy(limit)
 	if !ok {
-		return false
+		return len(e.def) > 0 && e.stepReserved(limit)
 	}
 	// Release before dispatch so a handler that reschedules itself
 	// reuses the slot it just vacated.
 	h, arg := e.q.release(en.ref)
-	e.now = en.at
+	e.now, e.cur = en.at, en
 	e.fired++
 	e.curPri, e.firing = en.pri, true
 	h.OnEvent(e, arg)
@@ -227,18 +266,32 @@ func (e *Engine) stepBy(limit Time) bool {
 	return true
 }
 
-// nextTime reports the timestamp of the earliest pending event.
-func (e *Engine) nextTime() (Time, bool) { return e.q.peek() }
+// nextTime reports the timestamp of the earliest pending event,
+// reserved ones included.
+func (e *Engine) nextTime() (Time, bool) {
+	t, ok := e.q.peek()
+	if len(e.def) > 0 {
+		e.countPassed()
+		for _, d := range e.def {
+			if !ok || d.at < t {
+				t, ok = d.at, true
+			}
+		}
+	}
+	return t, ok
+}
 
 // Run executes events until none remain.
 func (e *Engine) Run() {
-	for e.Step() {
+	e.horizon = maxTime
+	for e.stepBy(maxTime) {
 	}
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline. Events beyond the deadline stay pending.
 func (e *Engine) RunUntil(deadline Time) {
+	e.horizon = deadline
 	for e.stepBy(deadline) {
 	}
 	if e.now < deadline {
@@ -256,9 +309,12 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // final virtual time. The deadline is dynamic: posting cross-partition
 // mail shrinks it (via winCap) to the post time plus twice the
 // lookahead, the earliest instant a consequence of that mail could
-// return to this partition.
-func (e *Engine) runEvents(deadline Time) {
+// return to this partition. cut is the earliest timeline cut (sample,
+// scripted action or run deadline) at or after the window: no event may
+// fire ahead to it (see CanFireAhead).
+func (e *Engine) runEvents(deadline, cut Time) {
 	e.winCap = deadline
+	e.horizon = cut
 	for e.stepBy(e.winCap) {
 	}
 }

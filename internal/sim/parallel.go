@@ -188,6 +188,11 @@ type Parallel struct {
 	workers sync.WaitGroup
 
 	stats *ParallelStats // nil = no runtime accounting (zero cost)
+
+	// cut is the current window's earliest timeline cut (next sample,
+	// next action or the run deadline): partitions may fire no event
+	// ahead to it. Written by the coordinator before dispatch.
+	cut Time
 }
 
 // NewParallel builds an executor over engs. inboxes[p] lists the
@@ -336,6 +341,16 @@ func (p *Parallel) Fired() uint64 {
 	return n
 }
 
+// Queued returns how many of the fired events went through a partition's
+// event queue (see Engine.Queued).
+func (p *Parallel) Queued() uint64 {
+	var n uint64
+	for _, e := range p.engs {
+		n += e.Queued()
+	}
+	return n
+}
+
 // SetStats installs runtime accounting. st must be sized for the
 // executor's partition count. Nil disables accounting; the only cost
 // when disabled is one nil check per window.
@@ -465,12 +480,12 @@ func (p *Parallel) execWindow(idx int, w Time) {
 		t0 := time.Now()
 		f0 := eng.Fired()
 		p.drainReady(idx, eng)
-		eng.runEvents(w)
+		eng.runEvents(w, p.cut)
 		st.winBusy[idx] = time.Since(t0).Nanoseconds()
 		st.winEvents[idx] = eng.Fired() - f0
 	} else {
 		p.drainReady(idx, eng)
-		eng.runEvents(w)
+		eng.runEvents(w, p.cut)
 	}
 }
 
@@ -607,6 +622,13 @@ func (p *Parallel) run(deadline Time, bounded bool) {
 		// Window bounds end strictly before the next cut and at the
 		// deadline. wmin, the narrowest bound, feeds the window-width
 		// accounting.
+		p.cut = deadline
+		if sok && p.sampleNext < p.cut {
+			p.cut = p.sampleNext
+		}
+		if aok && aat < p.cut {
+			p.cut = aat
+		}
 		wmin := maxTime
 		dispatched, lone := 0, -1
 		for pi := range p.engs {

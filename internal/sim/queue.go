@@ -58,8 +58,10 @@ const (
 )
 
 // entry is one queued event's ordering key plus its arena ref. Entries
-// are what move through buckets and the far heap; the 24-byte struct is
-// self-contained so sorting and sifting never chase the arena.
+// are what move through buckets and the far heap; the 40-byte struct is
+// self-contained so sorting and sifting never chase the arena. The
+// engine's deferred set (see Engine.Reserve) holds bare keys in the same
+// shape, with ref unused.
 type entry struct {
 	at  Time
 	sat Time   // schedule stamp: virtual time of the Schedule call
@@ -133,7 +135,8 @@ func (l *ladder) release(ref int32) (Handler, EventArg) {
 
 // insert queues an event. at may precede curT0 (an event scheduled for
 // "now" after the cursor advanced past its bucket): it clamps into the
-// current bucket, where the (at, seq) sort still fires it first.
+// current bucket, where the (at, sat, pri, seq) sort still fires it
+// first.
 func (l *ladder) insert(at, sat Time, pri, seq uint64, ref int32) {
 	if l.n == 0 {
 		// Empty queue: re-anchor the window at this event so a long idle
@@ -162,7 +165,8 @@ func (l *ladder) insert(at, sat Time, pri, seq uint64, ref int32) {
 	l.occ[idx>>6] |= 1 << (idx & 63)
 }
 
-// insertSorted places en into a descending-(at,seq) bucket.
+// insertSorted places en into a bucket sorted descending by
+// (at, sat, pri, seq).
 func insertSorted(b *[]entry, en entry) {
 	s := *b
 	lo, hi := 0, len(s)
